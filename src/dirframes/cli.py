@@ -12,7 +12,8 @@ report     aggregate recover reports into a summary CSV
 Exit codes: 0 success, 1 invariant failure, 2 bad arguments, 3 I/O failure,
 4 solver divergence.  Every artifact-producing command writes a JSON manifest
 next to its outputs; all randomness flows from explicit seeds, so re-running
-a command reproduces its artifacts byte-for-byte.
+a command at a fixed BLAS thread count reproduces its artifacts byte-for-byte
+(a different thread count can change the rounding of ``recover``'s image).
 """
 
 from __future__ import annotations

@@ -54,6 +54,11 @@ def _stream(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream_id)]))
 
 
+def _measurement_count(n, rate):
+    """Rows kept at a sampling rate: rate * n rounded half up."""
+    return int(np.floor(rate * n + 0.5))
+
+
 class MeasurementOperator:
     """Row-subsampled orthonormal fast transform, reproducible from a seed."""
 
@@ -70,7 +75,9 @@ class MeasurementOperator:
         self.rate = float(rate)
         self.seed = int(seed)
         self.mode = mode
-        self.m = int(np.floor(rate * n + 0.5))
+        self.m = _measurement_count(self.n, rate)
+        if self.m == 0:
+            raise ValueError(f"sampling rate {rate} gives no measurements of {self.n} samples")
         self.sample_indices = np.sort(
             _stream(seed, _STREAM_MASK).permutation(self.n)[: self.m]
         )
@@ -243,6 +250,12 @@ def load_observation(path):
             raise ValueError(f"unknown mode code {mode_code} in {path}")
         if height * width != n:
             raise ValueError("inconsistent dimensions in header")
+        if not 0.0 < rate <= 1.0:
+            raise ValueError(f"sampling rate {rate} out of (0, 1] in {path}")
+        if m != _measurement_count(n, rate):
+            raise ValueError(
+                f"header count {m} does not match rate {rate} of {n} samples in {path}"
+            )
         payload = fh.read(8 * m)
         if len(payload) != 8 * m:
             raise ValueError(f"truncated payload in {path}")

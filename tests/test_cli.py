@@ -1,13 +1,15 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dirframes import cli
 from dirframes import imagegrid as ig
-from dirframes import solver
+from dirframes import sensing, solver
 from dirframes import transforms as tf
 
 
@@ -263,6 +265,33 @@ def test_recover_missing_observation_exits_3(tmp_path, capsys):
     assert _run("recover", "--obs", str(tmp_path / "none.bin"), "--family", "rdadcf",
                 "--size", "8", "--out", str(tmp_path / "x.pgm")) == 3
     capsys.readouterr()
+
+
+def test_sense_zero_measurements_exits_2(tmp_path, capsys):
+    img_path = _write_image(tmp_path / "img.pgm", ig.block_mosaic(16, seed=0))
+    assert _run("sense", "--image", img_path, "--rate", "0.001", "--sigma", "0",
+                "--seed", "1", "--out", str(tmp_path / "obs.bin")) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["count", "rate"])
+def test_recover_malformed_header_exits_3(small_case, field, capsys):
+    # a count 3 short of floor(rate * n + 0.5) with the payload cut to match,
+    # or a rate outside (0, 1]
+    _, obs_path, tmp = small_case
+    raw = Path(obs_path).read_bytes()
+    size = sensing._HEADER.size
+    if field == "count":
+        (m,) = struct.unpack("<Q", raw[size - 8 : size])
+        raw = raw[: size - 8] + struct.pack("<Q", m - 3) + raw[size : size + 8 * (m - 3)]
+    else:
+        at = struct.calcsize("<8sIIQ")           # the header's float64 rate
+        raw = raw[:at] + struct.pack("<d", float("inf")) + raw[at + 8 :]
+    bad = tmp / "bad.bin"
+    bad.write_bytes(raw)
+    assert _run("recover", "--obs", str(bad), "--family", "rdadcf", "--size", "8",
+                "--out", str(tmp / "x.pgm")) == 3
+    assert ("header count" if field == "count" else "sampling rate") in capsys.readouterr().err
 
 
 def test_recover_divergence_exits_4(small_case, monkeypatch, capsys):

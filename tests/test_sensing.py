@@ -209,4 +209,6 @@ def test_sense_image_argument_checks():
     with pytest.raises(ValueError):
         sensing.sense_image(img, 1.5, sigma=0.0, seed=0)
     with pytest.raises(ValueError):
+        sensing.sense_image(img, 0.001, sigma=0.0, seed=0)   # m = 0
+    with pytest.raises(ValueError):
         sensing.sense_image(img, 0.5, sigma=0.0, seed=0, mode="fourier")

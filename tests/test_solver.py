@@ -158,22 +158,73 @@ def test_operator_norm_estimate_matches_dense():
     np.testing.assert_allclose(est, want, rtol=1e-3)
 
 
-def test_solver_operator_norms_frozen():
-    # analysis-only stack has a tight-frame norm of ~2; adding the seam
-    # difference operator raises it to ~8.66
+def _stacked_operator(problem):
+    """(apply, adjoint, shape) of L = [F B; W D; Phi] for a problem, in the
+    argument form of ``estimate_operator_norm_sq``."""
+    obs = problem.observation
+    frame = problem.frame
+    M = frame.block_size
+    H, W = obs.height, obs.width
+    r, c = H // M, W // M
+    meas = obs.operator()
+    diff = sv.DiffOperator((H, W), M) if problem.rho > 0 else None
+
+    def apply(x):
+        parts = [
+            frame.analyze_blocks(sv._block_view(x, r, c, M)),
+            meas.forward(x.reshape(-1, order="F")),
+        ]
+        if diff is not None:
+            parts.append(diff.apply(x))
+        return parts
+
+    def adjoint(parts):
+        out = sv._image_view(frame.adjoint_blocks(parts[0]), r, c, M)
+        out = out + meas.adjoint(parts[1]).reshape(H, W, order="F")
+        if diff is not None:
+            out = out + diff.adjoint(parts[2])
+        return out
+
+    return apply, adjoint, (H, W)
+
+
+def _gate_problem(family, rho):
     img = ig.block_mosaic(32, seed=0)
     obs = sn.sense_image(img, 0.5, 0.0, seed=1)
-    op = fr.build_frame("rdadcf", 8)
-    _, rep1 = sv.solve(
-        sv.ProblemSpec(frame=op, observation=obs, rho=0.0),
-        sv.SolverConfig(max_iters=1),
-    )
-    _, rep2 = sv.solve(
-        sv.ProblemSpec(frame=op, observation=obs, rho=1.0),
-        sv.SolverConfig(max_iters=1),
-    )
-    np.testing.assert_allclose(rep1.op_norm_sq, 2.0, atol=0.02)
-    np.testing.assert_allclose(rep2.op_norm_sq, 8.662, atol=0.05)
+    return sv.ProblemSpec(frame=fr.build_frame(family, 8), observation=obs, rho=rho)
+
+
+def test_solver_operator_norms_frozen():
+    # analysis-only stack has a tight-frame norm of ~2; adding the seam
+    # difference operator raises it to ~8.66.  The solver's certified bounds
+    # (2 and 10) must sit at or above the 30-step estimates, up to the gate's
+    # own 1e-9 slack.
+    for rho, want in ((0.0, 2.0), (1.0, 8.662)):
+        prob = _gate_problem("rdadcf", rho)
+        est = sv.estimate_operator_norm_sq(*_stacked_operator(prob))
+        np.testing.assert_allclose(est, want, atol=0.02 if rho == 0 else 0.05)
+        _, rep = sv.solve(prob, sv.SolverConfig(max_iters=1))
+        assert rep.op_norm_sq == 2.0 + 8.0 * rho
+        assert est <= rep.op_norm_sq + 1e-9
+
+
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_certified_bound_covers_long_estimate(family, rho):
+    # the power iteration approaches ||L||^2 from below, so after 3000 steps
+    # it is as close as it gets; the 1e-9 slack is the gate's own
+    prob = _gate_problem(family, rho)
+    est = sv.estimate_operator_norm_sq(*_stacked_operator(prob), iters=3000)
+    _, rep = sv.solve(prob, sv.SolverConfig(max_iters=1))
+    assert est <= rep.op_norm_sq + 1e-9
+
+
+def test_gate_rejects_pair_that_passes_short_estimate():
+    # 1 / (0.01 * 8.7) clears the 30-step estimate (~8.66) but not ||L||^2
+    # itself (~8.76 after 3000 steps), so a certified gate must refuse it
+    prob = _gate_problem("rdadcf", 1.0)
+    with pytest.raises(ValueError):
+        sv.solve(prob, sv.SolverConfig(gamma1=0.01, gamma2=1.0 / (0.01 * 8.7)))
 
 
 # ---------------------------------------------------------------------------
