@@ -1,42 +1,40 @@
-"""Pure-numpy twins of the compiled butterfly kernels."""
+"""The butterfly kernel behind the Walsh-Hadamard and noiselet transforms.
+
+Each transform of length n = 2^k is the k-fold Kronecker power of one 2x2
+stage matrix W: stage j mixes the entry pairs whose indices differ in bit j.
+Stages on different bits commute, so any group of s <= 4 of them is one
+(2^s x 2^s) matrix, the s-fold Kronecker power of W.  ``butterfly`` applies
+the low s bits' group as a single matrix product and, by writing the result
+transposed, rotates those bits to the top of the index; after every bit has
+been through one group, the index order is back where it started.  A radix-16
+group reads and writes memory once where four radix-2 stages do it four times.
+"""
 
 import numpy as np
 
-_A = 0.5 - 0.5j
-_B = 0.5 + 0.5j
+RADIX_BITS = 4
 
 
-def fwht_inplace(x):
+def kron_powers(stage):
+    """``{2**s: stage ⊗ ... ⊗ stage (s factors)}`` for s = 1 .. RADIX_BITS."""
+    powers = {2: np.asarray(stage)}
+    for s in range(2, RADIX_BITS + 1):
+        powers[1 << s] = np.kron(powers[2], powers[1 << (s - 1)])
+    return powers
+
+
+def butterfly(x, powers):
+    """Apply the Kronecker power of a 2x2 stage to a power-of-two vector.
+
+    ``powers`` is ``kron_powers(stage)``.  Returns a new array; ``x`` is not
+    modified.
+    """
     n = x.shape[0]
-    h = 1
-    while h < n:
-        y = x.reshape(-1, 2, h)
-        a = y[:, 0, :].copy()
-        b = y[:, 1, :]
-        np.add(a, b, out=y[:, 0, :])
-        np.subtract(a, b, out=y[:, 1, :])
-        h *= 2
-
-
-def noiselet_inplace(z):
-    n = z.shape[0]
-    h = 1
-    while h < n:
-        y = z.reshape(-1, 2, h)
-        u = y[:, 0, :].copy()
-        v = y[:, 1, :].copy()
-        y[:, 0, :] = _A * u + _B * v
-        y[:, 1, :] = _B * u + _A * v
-        h *= 2
-
-
-def noiselet_adjoint_inplace(z):
-    n = z.shape[0]
-    h = 1
-    while h < n:
-        y = z.reshape(-1, 2, h)
-        u = y[:, 0, :].copy()
-        v = y[:, 1, :].copy()
-        y[:, 0, :] = _B * u + _A * v
-        y[:, 1, :] = _A * u + _B * v
-        h *= 2
+    bits = n.bit_length() - 1
+    if not bits:
+        return x.copy()
+    while bits:
+        s = min(RADIX_BITS, bits)
+        x = np.matmul(powers[1 << s], x.reshape(-1, 1 << s).T)
+        bits -= s
+    return x.reshape(n)

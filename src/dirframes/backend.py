@@ -1,62 +1,47 @@
-"""Kernel backend selection.
+"""The sensing transforms: Walsh-Hadamard and noiselet butterflies.
 
-The compiled extension is optional; set ``DIRFRAMES_PURE_PYTHON=1`` to force
-the numpy fallback (used by the benchmark and the dual-path tests).
+All three are Kronecker powers of a 2x2 stage, applied by the one numpy
+kernel in ``_kernels_py``.  ``backend_name`` and ``HAVE_COMPILED`` stay for
+callers that record which kernel made a result; there is only this one, so
+they always read ``"python"`` and ``False``.
 """
-
-import os
 
 import numpy as np
 
-from . import _kernels_py
+from ._kernels_py import butterfly, kron_powers
 
-if os.environ.get("DIRFRAMES_PURE_PYTHON"):
-    _impl = _kernels_py
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
+HAVE_COMPILED = False
 
-        HAVE_COMPILED = True
-    except ImportError:
-        _impl = _kernels_py
-        HAVE_COMPILED = False
+_A = 0.5 - 0.5j
+_B = 0.5 + 0.5j
+_HADAMARD = kron_powers(np.array([[1.0, 1.0], [1.0, -1.0]]))
+# conj(a) = b, so the adjoint's stage is the forward stage with a and b swapped
+_NOISELET = kron_powers(np.array([[_A, _B], [_B, _A]]))
+_NOISELET_ADJOINT = kron_powers(np.array([[_B, _A], [_A, _B]]))
 
 
 def backend_name():
-    return "compiled" if HAVE_COMPILED else "python"
+    return "python"
 
 
-def _as_pow2_f64(x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
+def _as_pow2(x, dtype):
+    x = np.asarray(x, dtype=dtype)
     n = x.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     return x
 
 
-def fwht(x, impl=None):
+def fwht(x):
     """Unnormalized Walsh-Hadamard transform of a power-of-two vector."""
-    out = _as_pow2_f64(x).copy()
-    (impl or _impl).fwht_inplace(out)
-    return out
+    return butterfly(_as_pow2(x, np.float64), _HADAMARD)
 
 
-def noiselet(x, impl=None):
+def noiselet(x):
     """Unitary Coifman-butterfly transform (complex output)."""
-    z = np.ascontiguousarray(x, dtype=np.complex128).copy()
-    n = z.shape[0]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    (impl or _impl).noiselet_inplace(z)
-    return z
+    return butterfly(_as_pow2(x, np.complex128), _NOISELET)
 
 
-def noiselet_adjoint(x, impl=None):
+def noiselet_adjoint(x):
     """Conjugate transpose of :func:`noiselet`."""
-    z = np.ascontiguousarray(x, dtype=np.complex128).copy()
-    n = z.shape[0]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    (impl or _impl).noiselet_adjoint_inplace(z)
-    return z
+    return butterfly(_as_pow2(x, np.complex128), _NOISELET_ADJOINT)

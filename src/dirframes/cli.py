@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,7 @@ _INVARIANT_TOL = 1e-10
 _ATOM_TOL = 1e-12
 _SIDEDNESS_LIMIT = 0.15
 _RANK_RTOL = 1e-8
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _CliError(Exception):
@@ -74,6 +76,14 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _blas_name():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return "unknown"
+
+
 def _write_manifest(path, command, args, inputs, outputs, t0):
     params = {
         k: v
@@ -85,6 +95,12 @@ def _write_manifest(path, command, args, inputs, outputs, t0):
         {
             "command": command,
             "version": __version__,
+            # what decides the output bytes besides the parameters
+            "environment": {
+                "numpy": np.__version__,
+                "blas": _blas_name(),
+                "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+            },
             "parameters": params,
             "inputs": list(inputs),
             "outputs": list(outputs),
@@ -440,10 +456,17 @@ def cmd_sense(args):
 def _load_config(path):
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise _CliError(EXIT_USAGE, f"{path}: config must be a JSON object")
     allowed = {"gamma1", "gamma2", "stop_tol", "max_iters"}
     unknown = set(raw) - allowed
     if unknown:
         raise _CliError(EXIT_USAGE, f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        # abs() <= max also rejects nan, and ints too large for a float
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):
+            raise _CliError(EXIT_USAGE, f"config {key} must be a finite number, got {value!r}")
     return solver.SolverConfig(**raw)
 
 

@@ -157,8 +157,8 @@ class DiffOperator:
         if z.shape != (2, *self.shape):
             raise ValueError(f"expected (2, {self.shape[0]}, {self.shape[1]}), got {z.shape}")
         H, W = self.shape
-        zv = z[0] * self.mask
-        zh = z[1] * self.mask
+        zm = z * self.mask  # the mask broadcasts over the stacked pair
+        zv, zh = zm[0], zm[1]
         out = np.zeros((H, W))
         out[1:, :] += zv[: H - 1, :]
         out[: H - 1, :] -= zv[: H - 1, :]

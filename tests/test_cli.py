@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,32 @@ def test_recover_byte_deterministic(small_case, capsys):
     assert outs[0] == outs[1]
 
 
+def test_sense_recover_reproducible_at_fixed_thread_count(tmp_path):
+    # the determinism contract in separate processes: at a fixed BLAS thread
+    # count a re-run reproduces the observation, image and report bytes, and
+    # every manifest records the thread count it ran at
+    img_path = _write_image(tmp_path / "img.pgm", ig.block_mosaic(64, seed=5))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    runs = []
+    for tag in ("a", "b"):
+        # same relative paths in both runs: the report records the observation path
+        cwd = tmp_path / tag
+        cwd.mkdir()
+        for argv in (("sense", "--image", img_path, "--rate", "0.4", "--sigma", "0.1",
+                      "--seed", "7", "--out", "obs.bin"),
+                     ("recover", "--obs", "obs.bin", "--family", "rdadcf", "--size", "8",
+                      "--truth", img_path, "--out", "rec.pgm")):
+            subprocess.run([sys.executable, "-m", "dirframes.cli", *argv], cwd=cwd, env=env,
+                           check=True, capture_output=True)
+        for manifest in ("obs.bin.manifest.json", "rec.pgm.manifest.json"):
+            threads = json.loads((cwd / manifest).read_text())["environment"]["threads"]
+            assert threads["OPENBLAS_NUM_THREADS"] == "1"
+        runs.append([(cwd / name).read_bytes() for name in ("obs.bin", "rec.pgm", "rec.pgm.report.json")])
+    assert runs[0] == runs[1]
+
+
 def test_recover_with_config_and_oracle(small_case, capsys):
     img_path, obs_path, tmp = small_case
     cfg = tmp / "cfg.json"
@@ -248,10 +277,15 @@ def test_recover_with_config_and_oracle(small_case, capsys):
 def test_recover_bad_config_key_exits_2(small_case, capsys):
     _, obs_path, tmp = small_case
     cfg = tmp / "bad.json"
-    cfg.write_text(json.dumps({"momentum": 0.9}))
-    assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
-                "--config", str(cfg), "--out", str(tmp / "x.pgm")) == 2
-    capsys.readouterr()
+    # an unknown key, a value that is not a JSON object, and values that are
+    # not finite numbers
+    for text in ('{"momentum": 0.9}', "5", "[]", '{"max_iters": null}', '{"gamma1": [1]}',
+                 '{"gamma1": true}', '{"stop_tol": "0.1"}', '{"gamma1": NaN}',
+                 '{"gamma2": Infinity}', '{"gamma1": 1%s}' % ("0" * 400)):
+        cfg.write_text(text)
+        assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
+                    "--config", str(cfg), "--out", str(tmp / "x.pgm")) == 2, text
+        assert "error:" in capsys.readouterr().err
 
 
 def test_recover_oracle_without_truth_exits_2(small_case, capsys):
