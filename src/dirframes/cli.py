@@ -70,6 +70,10 @@ def _load_observation(path):
         raise _CliError(EXIT_IO, f"{path}: {exc}") from exc
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -112,23 +116,6 @@ def _write_manifest(path, command, args, inputs, outputs, t0):
 # ---------------------------------------------------------------------------
 # design
 
-_TRANSFORMS_FOR = {
-    "dadcf": ("dct", "dst"),
-    "rdadcf": ("dct", "rdst"),
-    "pyramid": ("dct", "dst"),
-    "dct": ("dct",),
-    "dht": ("dht",),
-    "dft": ("dft",),
-}
-
-_TRANSFORM_BUILDERS = {
-    "dct": transforms.build_dct,
-    "dst": transforms.build_dst,
-    "rdst": transforms.build_rdst,
-    "dht": transforms.build_dht,
-    "dft": transforms.build_dft,
-}
-
 
 def cmd_design(args):
     t0 = time.perf_counter()
@@ -144,22 +131,19 @@ def cmd_design(args):
     _write_json(out / "subbands.json", op.subbands_json_dict())
     written.append("subbands.json")
 
-    for kind in _TRANSFORMS_FOR[args.family]:
-        tm = _TRANSFORM_BUILDERS[kind](args.size)
-        if kind == "dft":
+    for tm in op.transforms:
+        if tm.entries_imag is not None:
             for part, arr in (("real", tm.entries), ("imag", tm.entries_imag)):
-                fn = f"dft_{args.size}_{part}.csv"
+                fn = f"{tm.kind}_{args.size}_{part}.csv"
                 transforms.matrix_to_csv(arr, out / fn)
                 written.append(fn)
         else:
-            fn = f"{kind}_{args.size}.csv"
+            fn = f"{tm.kind}_{args.size}.csv"
             transforms.matrix_to_csv(tm.entries, out / fn)
             written.append(fn)
 
     if args.family == "rdadcf":
-        gamma = transforms.extract_gamma(
-            transforms.build_rdst(args.size), transforms.build_dst(args.size)
-        )
+        gamma = transforms.extract_gamma(op.transforms[1], transforms.build_dst(args.size))
         _write_json(out / "givens.json", transforms.factor_givens(gamma).to_json_dict())
         written.append("givens.json")
 
@@ -214,8 +198,8 @@ def _verify_family(family, M):
     n_mixed = sum(1 for s in op.subbands if s.branch == "mixed")
     checks.append(_equal_check("directional_count", n_mixed, 2 * (M - p) ** 2))
 
-    Fc = op.cos_tm.entries
-    Fs = op.sin_tm.entries
+    cos_tm, sin_tm = op.transforms
+    Fc, Fs = cos_tm.entries, sin_tm.entries
     sidedness = max(
         min(r, 1.0 - r)
         for r in (frames.analyticity_ratio(Fc[k], Fs[k]) for k in range(p, M))
@@ -234,7 +218,7 @@ def _verify_family(family, M):
 
     # rdadcf-specific structure
     dst = transforms.build_dst(M)
-    rdst = op.sin_tm
+    rdst = sin_tm
     ones = np.ones(M)
     target = np.zeros(M)
     target[0] = np.sqrt(M)
@@ -464,8 +448,7 @@ def _load_config(path):
         raise _CliError(EXIT_USAGE, f"unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         # abs() <= max also rejects nan, and ints too large for a float
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and abs(value) <= sys.float_info.max):
+        if not (_is_number(value) and abs(value) <= sys.float_info.max):
             raise _CliError(EXIT_USAGE, f"config {key} must be a finite number, got {value!r}")
     return solver.SolverConfig(**raw)
 
@@ -544,6 +527,28 @@ _REPORT_FIELDS = (
 )
 
 
+def _load_report(path):
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise _CliError(EXIT_IO, f"{path}: {exc}") from exc
+    ok = (
+        isinstance(d, dict)
+        and _is_number(d.get("iterations"))
+        and isinstance(d["iterations"], int)
+        and all(d.get(k) is None or _is_number(d[k]) for k in ("psnr", "baseline_psnr"))
+        and not any(isinstance(d.get(k), (list, dict)) for k in _REPORT_FIELDS)
+    )
+    if not ok:
+        raise _CliError(
+            EXIT_IO,
+            f"{path}: not a recover report (a JSON object with an integer 'iterations', "
+            f"numeric or null PSNRs and scalar fields)",
+        )
+    return d
+
+
 def cmd_report(args):
     run_dir = Path(args.runs)
     paths = sorted(run_dir.glob("*.report.json"))
@@ -551,8 +556,7 @@ def cmd_report(args):
         raise _CliError(EXIT_IO, f"no *.report.json files under {run_dir}")
     rows = []
     for path in paths:
-        with open(path) as fh:
-            d = json.load(fh)
+        d = _load_report(path)
         rows.append({k: d.get(k) for k in _REPORT_FIELDS})
     rows.sort(key=lambda r: tuple(str(r[k]) for k in ("image", "family", "size", "rate", "problem", "seed")))
 

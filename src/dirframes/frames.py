@@ -21,6 +21,12 @@ are provided:
 Coefficient ordering (two-branch families): scaled cosine coefficients in
 raster (k_v, k_h) order, then scaled sine, then +1-oriented mixed outputs,
 then -1-oriented, each raster ordered.  ``subbands`` records the mapping.
+
+Each family is defined once, by its separable block operator.  The dense
+analysis matrix (``FrameOperator.analysis``) is that operator applied to the
+column-major unit basis, and ``transforms`` holds the 1-D designs the
+operator is built from: (DCT, sine companion) for the two-branch families
+and the pyramid, the single DCT, DHT or DFT for the separable baselines.
 """
 
 from __future__ import annotations
@@ -116,24 +122,36 @@ class FrameOperator:
 
     ``analyze_blocks`` / ``adjoint_blocks`` accept (L, M, M) stacks or a
     single (M, M) block.  ``synthesize_blocks`` equals the adjoint for the
-    Parseval families and the exact left inverse for the pyramid.
+    Parseval families and the exact left inverse for the pyramid.  A family
+    implements the private ``_analyze`` / ``_adjoint`` (and, if it is not
+    tight, ``_synthesize``) hooks; the public methods live here only.
     """
 
     family = None
 
-    def __init__(self, block_size, n_out, subbands):
+    def __init__(self, block_size, n_out, subbands, transforms):
         self.block_size = block_size
         self.n_out = n_out
         self.subbands = tuple(subbands)
+        self.transforms = tuple(transforms)  # the 1-D TransformMatrix designs
         self._analysis = None
 
     # -- public API --------------------------------------------------------
 
     @property
     def analysis(self):
-        """Dense analysis matrix (n_out x M^2), built on first use."""
+        """Dense analysis matrix (n_out x M^2), built on first use.
+
+        Column j is the operator applied to the block whose column-major
+        vector is the j-th unit vector, so the matrix and the fast path
+        share one definition.  It goes through ``_analyze`` rather than
+        ``analyze_blocks`` so that building it is not counted as an
+        analysis call.
+        """
         if self._analysis is None:
-            a = self._build_dense()
+            M = self.block_size
+            basis = np.eye(M * M).reshape(M * M, M, M).transpose(0, 2, 1)
+            a = np.ascontiguousarray(self._analyze(basis).T)
             a.setflags(write=False)
             self._analysis = a
         return self._analysis
@@ -199,17 +217,12 @@ class FrameOperator:
     def _adjoint(self, coeffs):
         raise NotImplementedError
 
-    def _build_dense(self):
-        raise NotImplementedError
-
 
 class _TwoBranchFrame(FrameOperator):
     """Cosine branch + sine branch with scaled and butterfly-mixed outputs."""
 
     def __init__(self, family, cos_tm, sin_tm, min_paired_k):
         M = cos_tm.size
-        self.cos_tm = cos_tm
-        self.sin_tm = sin_tm
         self._Fc = cos_tm.entries
         self._Fs = sin_tm.entries
         scaled = [
@@ -235,7 +248,7 @@ class _TwoBranchFrame(FrameOperator):
         for orient in (1, -1):
             for kv, kh in paired:
                 subbands.append(Subband(len(subbands), "mixed", kv, kh, orient))
-        super().__init__(M, 2 * M * M, subbands)
+        super().__init__(M, 2 * M * M, subbands, (cos_tm, sin_tm))
         self.family = family
 
     def _branch_coeffs(self, blocks):
@@ -271,30 +284,17 @@ class _TwoBranchFrame(FrameOperator):
         S = _unvec_blocks(s, M)
         return self._Fc.T @ C @ self._Fc + self._Fs.T @ S @ self._Fs
 
-    def _build_dense(self):
-        M = self.block_size
-        n_s, n_p = self._n_s, self._n_p
-        Kc = np.kron(self._Fc, self._Fc)
-        Ks = np.kron(self._Fs, self._Fs)
-        a = np.empty((self.n_out, M * M))
-        a[:n_s] = Kc[self._scaled_idx] * _INV_SQRT2
-        a[n_s : 2 * n_s] = Ks[self._scaled_idx] * _INV_SQRT2
-        a[2 * n_s : 2 * n_s + n_p] = 0.5 * (Kc[self._pair_idx] + Ks[self._pair_idx])
-        a[2 * n_s + n_p :] = 0.5 * (Kc[self._pair_idx] - Ks[self._pair_idx])
-        return a
-
 
 class _SeparableFrame(FrameOperator):
     """Plain separable orthonormal transform (DCT or DHT)."""
 
     def __init__(self, family, tm):
         M = tm.size
-        self.tm = tm
         self._F = tm.entries
         subbands = [
             Subband(i, "cos", i % M, i // M, None) for i in range(M * M)
         ]
-        super().__init__(M, M * M, subbands)
+        super().__init__(M, M * M, subbands, (tm,))
         self.family = family
 
     def _analyze(self, blocks):
@@ -304,22 +304,18 @@ class _SeparableFrame(FrameOperator):
         C = _unvec_blocks(coeffs, self.block_size)
         return self._F.T @ C @ self._F
 
-    def _build_dense(self):
-        return np.kron(self._F, self._F)
-
 
 class _ComplexSeparableFrame(FrameOperator):
     """Unitary DFT as a real operator: real rows stacked over imaginary rows."""
 
     def __init__(self, tm):
         M = tm.size
-        self.tm = tm
         self._U = tm.entries + 1j * tm.entries_imag
         subbands = [Subband(i, "cos", i % M, i // M, None) for i in range(M * M)]
         subbands += [
             Subband(M * M + i, "sin", i % M, i // M, None) for i in range(M * M)
         ]
-        super().__init__(M, 2 * M * M, subbands)
+        super().__init__(M, 2 * M * M, subbands, (tm,))
         self.family = "dft"
 
     def _analyze(self, blocks):
@@ -329,13 +325,9 @@ class _ComplexSeparableFrame(FrameOperator):
     def _adjoint(self, coeffs):
         M = self.block_size
         w = coeffs[:, : M * M] + 1j * coeffs[:, M * M :]
-        W = w.reshape(-1, M, M).transpose(0, 2, 1)
+        W = _unvec_blocks(w, M)
         X = self._U.conj().T @ W @ self._U.conj()
         return np.ascontiguousarray(X.real)
-
-    def _build_dense(self):
-        K = np.kron(self._U, self._U)
-        return np.concatenate([K.real, K.imag], axis=0)
 
 
 class _PyramidFrame(FrameOperator):
@@ -347,7 +339,7 @@ class _PyramidFrame(FrameOperator):
         subbands = [Subband(0, "lowpass", 0, 0, None)]
         for s in inner.subbands:
             subbands.append(Subband(s.index + 1, s.branch, s.k_v, s.k_h, s.orientation))
-        super().__init__(M, inner.n_out + 1, subbands)
+        super().__init__(M, inner.n_out + 1, subbands, inner.transforms)
         self.family = "pyramid"
 
     def _analyze(self, blocks):
@@ -366,12 +358,6 @@ class _PyramidFrame(FrameOperator):
         w = self.inner._adjoint(coeffs[:, 1:])
         w -= w.mean(axis=(1, 2))[:, None, None]
         return w + coeffs[:, 0][:, None, None] / (M * M)
-
-    def _build_dense(self):
-        M = self.block_size
-        center = np.eye(M * M) - np.full((M * M, M * M), 1.0 / (M * M))
-        top = np.full((1, M * M), 1.0 / (M * M))
-        return np.concatenate([top, self.inner.analysis @ center], axis=0)
 
 
 def build_dadcf(M):

@@ -1,4 +1,4 @@
-"""Image/block plumbing: block views, vectorization, PGM I/O, PSNR, test images.
+"""Image/block plumbing: block views, PGM I/O, PSNR, test images.
 
 Conventions: images are 2-D float64 arrays with values in [0, 1].  A block is
 vectorized column-major (entry M*n + m holds pixel (m, n)); blocks are
@@ -15,10 +15,6 @@ __all__ = [
     "BlockGrid",
     "to_blocks",
     "from_blocks",
-    "bvec",
-    "from_bvec",
-    "vec_block",
-    "unvec_block",
     "psnr",
     "PSNR_CAP_DB",
     "zoneplate",
@@ -66,37 +62,6 @@ def from_blocks(grid):
         .transpose(0, 2, 1, 3)
         .reshape(r * M, c * M)
     )
-
-
-def vec_block(block):
-    """Column-major vectorization of one block."""
-    block = np.asarray(block, dtype=np.float64)
-    return block.reshape(-1, order="F")
-
-
-def unvec_block(v, M):
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != M * M:
-        raise ValueError(f"expected {M * M} entries, got {v.size}")
-    return v.reshape(M, M, order="F")
-
-
-def bvec(img, M):
-    """Stack column-major block vectors in raster block order."""
-    grid = to_blocks(img, M)
-    return grid.blocks.transpose(0, 2, 1).reshape(-1)
-
-
-def from_bvec(v, shape, M):
-    H, W = shape
-    if H % M or W % M:
-        raise ValueError(f"shape {shape} is not a multiple of block size {M}")
-    L = (H // M) * (W // M)
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != H * W:
-        raise ValueError(f"expected {H * W} entries, got {v.size}")
-    blocks = v.reshape(L, M, M).transpose(0, 2, 1)
-    return from_blocks(BlockGrid(M, H // M, W // M, np.ascontiguousarray(blocks)))
 
 
 def psnr(reference, estimate):

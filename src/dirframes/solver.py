@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imagegrid import psnr
+from .imagegrid import BlockGrid, from_blocks, psnr, to_blocks
 from .sensing import Observation  # noqa: F401  (type of ProblemSpec.observation)
 
 __all__ = [
@@ -238,14 +238,6 @@ class ConvergenceReport:
 # core loop
 
 
-def _block_view(x, r, c, M):
-    return x.reshape(r, M, c, M).transpose(0, 2, 1, 3).reshape(r * c, M, M)
-
-
-def _image_view(blocks, r, c, M):
-    return blocks.reshape(r, c, M, M).transpose(0, 2, 1, 3).reshape(r * M, c * M)
-
-
 def estimate_operator_norm_sq(apply_all, adjoint_all, shape, iters=30, seed=0):
     """Power iteration for ||L||^2 = lambda_max(L^T L) of a stacked operator.
 
@@ -312,10 +304,10 @@ def solve(problem, config=None, truth=None):
     n_out = frame.n_out
 
     def A1(x):
-        return frame.analyze_blocks(_block_view(x, r, c, M)).ravel()
+        return frame.analyze_blocks(to_blocks(x, M).blocks).ravel()
 
     def A1t(z):
-        return _image_view(frame.adjoint_blocks(z.reshape(r * c, n_out)), r, c, M)
+        return from_blocks(BlockGrid(M, r, c, frame.adjoint_blocks(z.reshape(r * c, n_out))))
 
     def A3(x):
         return meas.forward(x.reshape(-1, order="F"))
@@ -398,9 +390,8 @@ def objective_terms(problem, x):
     frame = problem.frame
     M = frame.block_size
     H, W = obs.height, obs.width
-    r, c = H // M, W // M
     x = np.asarray(x, dtype=np.float64)
-    coeffs = frame.analyze_blocks(_block_view(x, r, c, M)).ravel()
+    coeffs = frame.analyze_blocks(to_blocks(x, M).blocks).ravel()
     l1 = float(np.abs(coeffs).sum())
     rho = float(problem.rho)
     l12 = 0.0

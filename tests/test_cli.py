@@ -366,3 +366,20 @@ def test_report_empty_dir_exits_3(tmp_path, capsys):
     empty.mkdir()
     assert _run("report", "--runs", str(empty), "--out", str(tmp_path / "t.csv")) == 3
     capsys.readouterr()
+
+
+def test_report_malformed_file_exits_3(tmp_path, capsys):
+    # not an object, an object without an integer iteration count, a PSNR
+    # that is not a number, a field that is not a scalar, and text that is
+    # not JSON
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    bad = runs / "bad.report.json"
+    for text in ("[1, 2]", "{}", '{"iterations": "12"}', '{"iterations": true}',
+                 '{"iterations": 3, "psnr": "x"}', '{"iterations": 3, "image": [1]}',
+                 "{not json"):
+        bad.write_text(text)
+        for extra in ((), ("--average",)):
+            assert _run("report", "--runs", str(runs), "--out", str(tmp_path / "t.csv"),
+                        *extra) == 3, (text, extra)
+            assert "bad.report.json" in capsys.readouterr().err

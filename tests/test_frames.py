@@ -61,9 +61,17 @@ def test_directional_output_count(family, M, directional):
     assert orients == {-1, 1}
 
 
-@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
-def test_adjoint_identity(family):
-    M = 8
+# every block size the benchmark solves; the M = 8 cases keep the bare
+# family id
+FAMILY_SIZES = [
+    pytest.param(family, M, id=family if M == 8 else f"{family}-{M}")
+    for family in fr.FRAME_FAMILIES
+    for M in (4, 8, 16, 32)
+]
+
+
+@pytest.mark.parametrize("family, M", FAMILY_SIZES)
+def test_adjoint_identity(family, M):
     op = fr.build_frame(family, M)
     x = _rand_blocks(M, 5, 1)
     z = np.random.Generator(np.random.Philox(key=[2, 0xF4A3])).standard_normal(
@@ -74,9 +82,8 @@ def test_adjoint_identity(family):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
-def test_synthesis_inverts_analysis(family):
-    M = 8
+@pytest.mark.parametrize("family, M", FAMILY_SIZES)
+def test_synthesis_inverts_analysis(family, M):
     op = fr.build_frame(family, M)
     x = _rand_blocks(M, 7, 3)
     back = op.synthesize_blocks(op.analyze_blocks(x))
@@ -86,6 +93,52 @@ def test_synthesis_inverts_analysis(family):
 def test_build_frame_rejects_unknown_family():
     with pytest.raises(ValueError):
         fr.build_frame("wavelet", 8)
+
+
+@pytest.mark.parametrize("family, kinds", [
+    ("dadcf", (tf.DCT, tf.DST)),
+    ("rdadcf", (tf.DCT, tf.RDST)),
+    ("pyramid", (tf.DCT, tf.DST)),
+    ("dct", (tf.DCT,)),
+    ("dht", (tf.DHT,)),
+    ("dft", (tf.DFT,)),
+])
+def test_frame_records_its_transforms(family, kinds):
+    op = fr.build_frame(family, 8)
+    assert tuple(t.kind for t in op.transforms) == kinds
+    assert all(t.size == 8 for t in op.transforms)
+
+
+# ---------------------------------------------------------------------------
+# the tracing contract: the benchmark wraps the public methods on the base
+# class, so no family may override them and building the dense matrix must
+# not go through them
+
+PUBLIC_METHODS = ("analyze_blocks", "adjoint_blocks", "synthesize_blocks")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_families_do_not_override_public_methods():
+    classes = list(_subclasses(fr.FrameOperator))
+    assert {type(fr.build_frame(f, 8)) for f in fr.FRAME_FAMILIES} <= set(classes)
+    for cls in classes:
+        assert not set(PUBLIC_METHODS) & set(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+def test_analysis_matrix_bypasses_public_methods(family, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("public frame method called")
+
+    for name in PUBLIC_METHODS:
+        monkeypatch.setattr(fr.FrameOperator, name, refuse)
+    op = fr.build_frame(family, 4)
+    assert op.analysis.shape == (op.n_out, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +218,10 @@ def test_analyticity_ratio_real_pair_is_half():
 def test_directional_rows_are_one_sided(family, M, worst):
     op = fr.build_frame(family, M)
     p = 1 if family == "dadcf" else 2
-    cos_tm = tf.build_dct(M).entries
-    sin_tm = (tf.build_dst(M) if family == "dadcf" else tf.build_rdst(M)).entries
+    cos_rows, sin_rows = (t.entries for t in op.transforms)
     sidedness = []
     for k in range(p, M):
-        r = fr.analyticity_ratio(cos_tm[k], sin_tm[k])
+        r = fr.analyticity_ratio(cos_rows[k], sin_rows[k])
         sidedness.append(min(r, 1.0 - r))
     measured = max(sidedness)
     assert measured < 0.15

@@ -36,21 +36,6 @@ def test_to_blocks_rejects_misaligned():
         ig.to_blocks(_rand_image(10, 8), 4)
 
 
-def test_vec_block_column_major():
-    b = np.array([[1.0, 3.0], [2.0, 4.0]])
-    np.testing.assert_array_equal(ig.vec_block(b), [1, 2, 3, 4])
-    np.testing.assert_array_equal(ig.unvec_block(np.array([1.0, 2, 3, 4]), 2), b)
-
-
-def test_bvec_round_trip():
-    img = _rand_image(16, 24, key=5)
-    v = ig.bvec(img, 8)
-    assert v.shape == (16 * 24,)
-    np.testing.assert_array_equal(ig.from_bvec(v, (16, 24), 8), img)
-    # first block vector is the column-major first block
-    np.testing.assert_array_equal(v[:64], ig.vec_block(img[:8, :8]))
-
-
 # ---------------------------------------------------------------------------
 # psnr
 

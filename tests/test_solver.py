@@ -171,7 +171,7 @@ def _stacked_operator(problem):
 
     def apply(x):
         parts = [
-            frame.analyze_blocks(sv._block_view(x, r, c, M)),
+            frame.analyze_blocks(ig.to_blocks(x, M).blocks),
             meas.forward(x.reshape(-1, order="F")),
         ]
         if diff is not None:
@@ -179,7 +179,7 @@ def _stacked_operator(problem):
         return parts
 
     def adjoint(parts):
-        out = sv._image_view(frame.adjoint_blocks(parts[0]), r, c, M)
+        out = ig.from_blocks(ig.BlockGrid(M, r, c, frame.adjoint_blocks(parts[0])))
         out = out + meas.adjoint(parts[1]).reshape(H, W, order="F")
         if diff is not None:
             out = out + diff.adjoint(parts[2])
