@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Interleaved before/after runs of the benchmark, recorded as BENCH_<n>.json.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR \\
+        --workload mosaic-tv --seed 5 --pairs 10 --out BENCH_5.json
+
+``--parent`` and ``--change`` are two checkouts (each with ``src/`` and
+``perfbench/``).  Each pair runs ``perfbench/run.py --trace 0`` once in
+each checkout, one after the other, and the side that runs first alternates
+from pair to pair so that a drift in machine speed hits both sides alike.
+
+The record in ``--out`` is keyed by workload, then seed, then side.  Each
+side holds the per-pair ``iter_ms`` and ``solve_s`` with their min, median
+and quartiles, the other end-to-end metrics per pair, and the ``failed``
+counts.
+Running the script again for another workload or seed adds to the file.
+The record also holds ``OPENBLAS_NUM_THREADS`` as the benchmark sets it.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+TIMED = ("iter_ms", "solve_s")
+
+
+def _run(checkout, workload, seed, seconds):
+    cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    lines = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.splitlines()
+    env = json.loads(next(line[4:] for line in lines if line.startswith("env ")))
+    return env, json.loads(lines[-1])
+
+
+def _summary(runs):
+    side = {"pairs": len(runs), "failed": [r["failed"] for r in runs]}
+    for name in runs[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in runs]
+        side[name] = {"per_pair": values}
+        if name in TIMED:
+            side[name].update(min=min(values), median=statistics.median(values))
+            if len(values) > 1:
+                q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+                side[name]["quartiles"] = [q1, q3]
+    return side
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=40)
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+
+    checkouts = {"parent": args.parent, "change": args.change}
+    runs = {side: [] for side in SIDES}
+    threads = None
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            env, result = _run(checkouts[side], args.workload, args.seed, args.seconds)
+            threads = env["threads"]["OPENBLAS_NUM_THREADS"]
+            runs[side].append(result)
+            print(f"pair {i} {side}: iter_ms {result['metrics']['iter_ms']['value']:.3f} "
+                  f"failed {result['failed']}", flush=True)
+
+    out = Path(args.out)
+    record = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
+    record["OPENBLAS_NUM_THREADS"] = threads
+    record["command"] = f"perfbench/run.py --seconds {args.seconds:g} --trace 0"
+    seeds = record["workloads"].setdefault(args.workload, {})
+    seeds[str(args.seed)] = {side: _summary(runs[side]) for side in SIDES}
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

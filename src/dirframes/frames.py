@@ -27,6 +27,34 @@ analysis matrix (``FrameOperator.analysis``) is that operator applied to the
 column-major unit basis, and ``transforms`` holds the 1-D designs the
 operator is built from: (DCT, sine companion) for the two-branch families
 and the pyramid, the single DCT, DHT or DFT for the separable baselines.
+
+How a frame is applied depends on its block size, and nothing else.  For
+M <= 16 ``analyze_blocks`` and ``adjoint_blocks`` are one matrix product
+with the analysis matrix whose columns are in row-major block order,
+``blocks.reshape(L, M*M) @ A_r.T`` and ``(coeffs @ A_r).reshape(L, M, M)``.
+``A_r`` is built from ``_analyze`` on the first apply and cached on the
+frame.  For M > 16, and for ``synthesize_blocks`` at every size (the
+pyramid's left inverse is not the transpose), the separable hooks run.  At
+small M the separable path's cost is not arithmetic but numpy's batched
+M x M products over every block plus several fresh image-sized temporaries
+per call; the product allocates only its output.  At M = 32 the matrix
+would be 2048 x 1024 (16.8 MB for the two-branch families) and the product
+does 8x the separable arithmetic, so large blocks stay separable.
+Round-robin medians in ms of one call on a 256 x 256 image (all blocks), one
+BLAS thread, shared 2-core Xeon VM, two rounds:
+
+    frame       analyze / adjoint, separable   analyze / adjoint, product
+    rdadcf-4    2.24-2.71 / 1.50-1.78          0.12-0.16 / 0.14-0.16
+    rdadcf-8    1.28-1.46 / 1.03-1.23          0.34-0.40 / 0.35-0.41
+    pyramid-8   1.50-1.70 / 1.21-1.43          0.39 / 0.34-0.35
+    dht-8       0.30-0.31 / 0.13-0.16          0.15-0.17 / 0.16
+    rdadcf-16   1.09-1.11 / 1.06-1.17          1.12-1.34 / 1.14-1.40
+    rdadcf-32   1.04-1.18 / 1.24-1.37          5.43-6.07 / 5.17-5.87
+
+M = 16 is the break-even size: in full 256 x 256 solves (rho = 0, 200
+iterations, four interleaved runs) the product gave 6.1-7.3 ms per
+iteration against 7.9-9.0 separable for pyramid-16, and 6.1-8.1 against
+5.4-6.8 for rdadcf-16.
 """
 
 from __future__ import annotations
@@ -64,6 +92,10 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# largest block size whose analysis and adjoint are applied as one matrix
+# product; see the module docstring
+_GEMM_MAX_BLOCK = 16
 
 FRAME_FAMILIES = ("dadcf", "rdadcf", "pyramid", "dct", "dft", "dht")
 
@@ -124,7 +156,9 @@ class FrameOperator:
     single (M, M) block.  ``synthesize_blocks`` equals the adjoint for the
     Parseval families and the exact left inverse for the pyramid.  A family
     implements the private ``_analyze`` / ``_adjoint`` (and, if it is not
-    tight, ``_synthesize``) hooks; the public methods live here only.
+    tight, ``_synthesize``) hooks; the public methods live here only.  For
+    M <= 16 analysis and adjoint apply the matrix of ``_analyze`` instead of
+    the hooks (see the module docstring).
     """
 
     family = None
@@ -135,6 +169,7 @@ class FrameOperator:
         self.subbands = tuple(subbands)
         self.transforms = tuple(transforms)  # the 1-D TransformMatrix designs
         self._analysis = None
+        self._gemm = None
 
     # -- public API --------------------------------------------------------
 
@@ -151,19 +186,25 @@ class FrameOperator:
         if self._analysis is None:
             M = self.block_size
             basis = np.eye(M * M).reshape(M * M, M, M).transpose(0, 2, 1)
-            a = np.ascontiguousarray(self._analyze(basis).T)
-            a.setflags(write=False)
-            self._analysis = a
+            self._analysis = self._matrix_of(basis)
         return self._analysis
 
     def analyze_blocks(self, blocks):
         blocks, squeeze = self._as_stack(blocks)
-        out = self._analyze(blocks)
+        M = self.block_size
+        if M <= _GEMM_MAX_BLOCK:
+            out = blocks.reshape(-1, M * M) @ self._gemm_matrix().T
+        else:
+            out = self._analyze(blocks)
         return out[0] if squeeze else out
 
     def adjoint_blocks(self, coeffs):
         coeffs, squeeze = self._as_coeffs(coeffs)
-        out = self._adjoint(coeffs)
+        M = self.block_size
+        if M <= _GEMM_MAX_BLOCK:
+            out = (coeffs @ self._gemm_matrix()).reshape(-1, M, M)
+        else:
+            out = self._adjoint(coeffs)
         return out[0] if squeeze else out
 
     def synthesize_blocks(self, coeffs):
@@ -186,6 +227,21 @@ class FrameOperator:
         }
 
     # -- internals ---------------------------------------------------------
+
+    def _matrix_of(self, basis):
+        # the operator applied to a stack of M^2 unit blocks, as a read-only
+        # n_out x M^2 matrix
+        a = np.ascontiguousarray(self._analyze(basis).T)
+        a.setflags(write=False)
+        return a
+
+    def _gemm_matrix(self):
+        # the analysis matrix with its columns in row-major block order, so
+        # that a C-ordered (L, M, M) stack reshapes to (L, M^2) as a view
+        if self._gemm is None:
+            M = self.block_size
+            self._gemm = self._matrix_of(np.eye(M * M).reshape(M * M, M, M))
+        return self._gemm
 
     def _as_stack(self, blocks):
         blocks = np.asarray(blocks, dtype=np.float64)

@@ -172,8 +172,8 @@ class Observation:
 def add_noise(y, sigma, seed, stream_id=_STREAM_NOISE):
     """Add white Gaussian noise; sigma = 0 returns the input unchanged."""
     y = np.asarray(y, dtype=np.float64)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if sigma == 0:
         return y.copy()
     return y + sigma * _stream(seed, stream_id).standard_normal(y.size)
@@ -252,6 +252,8 @@ def load_observation(path):
             raise ValueError("inconsistent dimensions in header")
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"sampling rate {rate} out of (0, 1] in {path}")
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"noise level {sigma} is not a finite number >= 0 in {path}")
         if m != _measurement_count(n, rate):
             raise ValueError(
                 f"header count {m} does not match rate {rate} of {n} samples in {path}"
@@ -260,4 +262,6 @@ def load_observation(path):
         if len(payload) != 8 * m:
             raise ValueError(f"truncated payload in {path}")
     y = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"non-finite measurement in {path}")
     return Observation(y, height, width, rate, seed, seed_noise, sigma, _MODE_NAMES[mode_code])

@@ -58,7 +58,8 @@ FIDELITY_EQUALITY = "equality"
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the residual grows ~10x over a 100-iteration window."""
+    """Raised when the residual is not finite or grows ~10x over a
+    100-iteration window."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +259,11 @@ def estimate_operator_norm_sq(apply_all, adjoint_all, shape, iters=30, seed=0):
 
 
 def _divergence_guard(residuals, window=100, factor=10.0):
-    """Raise :class:`DivergenceError` when the increment grew ``factor``-fold
-    over the last ``window`` iterations (a zero reference never counts)."""
+    """Raise :class:`DivergenceError` when the latest increment is not finite
+    or grew ``factor``-fold over the last ``window`` iterations (a zero
+    reference never counts)."""
+    if not np.isfinite(residuals[-1]):
+        raise DivergenceError(f"residual {residuals[-1]} at iteration {len(residuals)}")
     if len(residuals) <= window:
         return
     ref = residuals[-window - 1]
@@ -276,8 +280,8 @@ def solve(problem, config=None, truth=None):
     The primal iterate starts from the clipped pseudo-inverse estimate and
     dual variables start at zero; with fixed seeds the run is reproducible
     bit-for-bit.  ``truth`` (optional reference image) enables the PSNR
-    trace.  Raises :class:`DivergenceError` if the residual grows 10x over a
-    100-iteration window.
+    trace.  Raises :class:`DivergenceError` if the residual is not finite or
+    grows 10x over a 100-iteration window.
     """
     if config is None:
         config = SolverConfig()
@@ -295,6 +299,8 @@ def solve(problem, config=None, truth=None):
     meas = problem.measurement if problem.measurement is not None else obs.operator()
     y = np.asarray(obs.y, dtype=np.float64)
     eps = problem.resolved_epsilon()
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {eps}")
     g1 = float(config.gamma1)
     g2 = float(config.resolved_gamma2())
     if g1 <= 0 or g2 <= 0:

@@ -308,24 +308,58 @@ def test_sense_zero_measurements_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("field", ["count", "rate"])
+_MALFORMED_MESSAGE = {
+    "count": "header count",
+    "rate": "sampling rate",
+    "sigma": "noise level",
+    "payload": "non-finite measurement",
+}
+
+
+@pytest.mark.parametrize("field", list(_MALFORMED_MESSAGE))
 def test_recover_malformed_header_exits_3(small_case, field, capsys):
     # a count 3 short of floor(rate * n + 0.5) with the payload cut to match,
-    # or a rate outside (0, 1]
+    # a rate outside (0, 1], a NaN noise level, or a NaN measurement
     _, obs_path, tmp = small_case
     raw = Path(obs_path).read_bytes()
     size = sensing._HEADER.size
+    nan = struct.pack("<d", float("nan"))
     if field == "count":
         (m,) = struct.unpack("<Q", raw[size - 8 : size])
         raw = raw[: size - 8] + struct.pack("<Q", m - 3) + raw[size : size + 8 * (m - 3)]
-    else:
+    elif field == "rate":
         at = struct.calcsize("<8sIIQ")           # the header's float64 rate
         raw = raw[:at] + struct.pack("<d", float("inf")) + raw[at + 8 :]
+    elif field == "sigma":
+        at = struct.calcsize("<8sIIQdQQ")        # the header's float64 sigma
+        raw = raw[:at] + nan + raw[at + 8 :]
+    else:
+        at = size + 8 * 5                        # the sixth measurement
+        raw = raw[:at] + nan + raw[at + 8 :]
     bad = tmp / "bad.bin"
     bad.write_bytes(raw)
     assert _run("recover", "--obs", str(bad), "--family", "rdadcf", "--size", "8",
                 "--out", str(tmp / "x.pgm")) == 3
-    assert ("header count" if field == "count" else "sampling rate") in capsys.readouterr().err
+    assert _MALFORMED_MESSAGE[field] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_sense_non_finite_sigma_exits_2(tmp_path, sigma, capsys):
+    img_path = _write_image(tmp_path / "img.pgm", ig.block_mosaic(16, seed=0))
+    out = tmp_path / "obs.bin"
+    assert _run("sense", "--image", img_path, "--rate", "0.5", "--sigma", sigma,
+                "--seed", "1", "--out", str(out)) == 2
+    assert "sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_nan_epsilon_exits_2(small_case, capsys):
+    _, obs_path, tmp = small_case
+    out = tmp / "x.pgm"
+    assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
+                "--epsilon", "nan", "--out", str(out)) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_recover_divergence_exits_4(small_case, monkeypatch, capsys):

@@ -83,6 +83,23 @@ def test_adjoint_identity(family, M):
 
 
 @pytest.mark.parametrize("family, M", FAMILY_SIZES)
+def test_public_apply_equals_separable(family, M):
+    # M <= 16 applies the cached matrix, larger blocks the separable hooks;
+    # at M = 32 no dense matrix may be built (8 MB to 17 MB per frame)
+    op = fr.build_frame(family, M)
+    x = _rand_blocks(M, 6, 4)
+    z = np.random.Generator(np.random.Philox(key=[5, 0xF4A3])).standard_normal(
+        (6, op.n_out)
+    )
+    np.testing.assert_allclose(op.analyze_blocks(x), op._analyze(x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.adjoint_blocks(z), op._adjoint(z), rtol=0, atol=1e-12)
+    if M > 16:
+        assert op._analysis is None and op._gemm is None
+    else:
+        assert op._gemm is not None
+
+
+@pytest.mark.parametrize("family, M", FAMILY_SIZES)
 def test_synthesis_inverts_analysis(family, M):
     op = fr.build_frame(family, M)
     x = _rand_blocks(M, 7, 3)

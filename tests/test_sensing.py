@@ -208,3 +208,6 @@ def test_sense_image_argument_checks():
         sensing.sense_image(img, 0.001, sigma=0.0, seed=0)   # m = 0
     with pytest.raises(ValueError):
         sensing.sense_image(img, 0.5, sigma=0.0, seed=0, mode="fourier")
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            sensing.sense_image(img, 0.5, sigma=sigma, seed=0)

@@ -248,6 +248,26 @@ def test_solve_rejects_bad_step_sizes():
         sv.solve(prob, sv.SolverConfig(gamma1=1.0, gamma2=1.0))
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+def test_solve_rejects_bad_epsilon(epsilon):
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        sv.solve(prob)
+
+
+def test_solve_nan_measurement_diverges_at_once():
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    y = np.array(obs.y)
+    y[3] = np.nan
+    obs = sn.Observation(y, 16, 16, obs.rate, obs.seed, obs.seed_noise, 0.0, obs.mode)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
+    with pytest.raises(sv.DivergenceError, match="at iteration 1$"):
+        sv.solve(prob)
+
+
 def test_resolved_epsilon():
     img = ig.block_mosaic(16, seed=0)
     obs = sn.sense_image(img, 0.5, 0.1, seed=3)
@@ -343,3 +363,5 @@ def test_divergence_guard():
     sv._divergence_guard([0.0] + [5.0] * 101)             # zero reference: fine
     with pytest.raises(sv.DivergenceError):
         sv._divergence_guard([0.1] * 101 + [1.1])
+    with pytest.raises(sv.DivergenceError):
+        sv._divergence_guard([0.1, float("nan")])         # non-finite: at once
