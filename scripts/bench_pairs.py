@@ -12,7 +12,12 @@ from pair to pair so that a drift in machine speed hits both sides alike.
 The record in ``--out`` is keyed by workload, then seed, then side.  Each
 side holds the per-pair ``iter_ms`` and ``solve_s`` with their min, median
 and quartiles, the other end-to-end metrics per pair, and the ``failed``
-counts.
+counts.  Beside the sides, ``verdict`` holds for each of those two timed
+metrics the pairs the change won (a tie counts for neither side), the
+parent's interquartile range, the gap between the two medians, and whether
+the claim rule holds: at least 10 pairs run, at least 9 of every 10 pairs
+won, and a median gap larger than the parent's IQR.  One verdict line per
+timed metric is printed.
 Running the script again for another workload or seed adds to the file.
 The record also holds ``OPENBLAS_NUM_THREADS`` as the benchmark sets it.
 """
@@ -50,6 +55,15 @@ def _summary(runs):
     return side
 
 
+def _verdict(parent, change):
+    """The claim rule on one lower-is-better metric, from the per-pair values."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = statistics.median(parent) - statistics.median(change)
+    return {"wins": wins, "pairs": len(parent), "parent_iqr": q3 - q1, "median_gap": gap,
+            "claim_holds": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > q3 - q1}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
@@ -78,7 +92,18 @@ def main(argv=None):
     record["OPENBLAS_NUM_THREADS"] = threads
     record["command"] = f"perfbench/run.py --seconds {args.seconds:g} --trace 0"
     seeds = record["workloads"].setdefault(args.workload, {})
-    seeds[str(args.seed)] = {side: _summary(runs[side]) for side in SIDES}
+    entry = {side: _summary(runs[side]) for side in SIDES}
+    if args.pairs > 1:
+        entry["verdict"] = {}
+        for name in TIMED:
+            v = _verdict(entry["parent"][name]["per_pair"], entry["change"][name]["per_pair"])
+            entry["verdict"][name] = v
+            print(f"verdict {args.workload} seed {args.seed} {name}: "
+                  f"{v['wins']}/{v['pairs']} won, median {entry['parent'][name]['median']:.4g} "
+                  f"-> {entry['change'][name]['median']:.4g}, gap {v['median_gap']:.4g} "
+                  f"vs parent IQR {v['parent_iqr']:.4g}: "
+                  f"claim {'holds' if v['claim_holds'] else 'fails'}", flush=True)
+    seeds[str(args.seed)] = entry
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -4,10 +4,26 @@ The default operator is a scrambled Hadamard ensemble: a seeded random sign
 flip and permutation followed by the fast Walsh-Hadamard transform, row
 subsampled without replacement.  A complex noiselet mode (Coifman butterfly
 recursion) is available behind a flag; its conjugate-symmetric rows are
-re-assembled into an exactly orthonormal real transform by stacking
+re-assembled into an exactly orthonormal real transform by interleaving
 sqrt(2) * real / imaginary parts of the first half of the output, so both
 modes expose the same interface and invariants (orthonormal rows, exact
 pseudo-inverse by the adjoint).
+
+Only half of the noiselet's output is ever used, and only half of its
+adjoint's input is nonzero, so that mode runs one half-length noiselet per
+pass.  The n-point noiselet is the Kronecker power of the unitary stage
+W = [[a, b], [b, a]] with a = (1 - i)/2, b = (1 + i)/2, hence
+N_n = W ⊗ N_h with h = n/2.  Split x into halves x0 = x[:h], x1 = x[h:]:
+
+    N_n x = [N_h (a x0 + b x1);  N_h (b x0 + a x1)],
+
+so the kept first half is N_h (a x0 + b x1).  The adjoint is
+N_n^H = W^H ⊗ N_h^H with W^H = [[b, a], [a, b]] (conj(a) = b), so on an
+input whose second half is zero, N_n^H [w; 0] = [b u; a u] with
+u = N_h^H w.  Its real part is
+Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2.  The results equal
+the full-length computation up to rounding: a few ulp, at most 1.8e-15 on a
+unit-variance input at n = 2^16.
 
 Randomness is counter-based (Philox) with one stream per purpose, keyed as
 (seed, stream-id): permutation 1, sign flips 2, sampling mask 3, noise 4.
@@ -21,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import fwht, noiselet, noiselet_adjoint
+from .backend import _A, _B, fwht, noiselet, noiselet_adjoint
 
 __all__ = [
     "SCRAMBLED_HADAMARD",
@@ -45,6 +61,8 @@ _STREAM_PERM = 1
 _STREAM_SIGN = 2
 _STREAM_MASK = 3
 _STREAM_NOISE = 4
+
+_SQRT2 = np.sqrt(2.0)
 
 _MAGIC = b"DFOBS001"
 _HEADER = struct.Struct("<8sIIQdQQdB7xQ")
@@ -89,21 +107,29 @@ class MeasurementOperator:
             self._scale = 1.0 / np.sqrt(self.n)
 
     def full_transform(self, x):
-        """Apply the full n x n orthonormal transform."""
+        """Apply the full n x n orthonormal transform.
+
+        Noiselet mode returns sqrt(2) * (Re, Im) of the first half of N_n x,
+        interleaved.  Because N_n = W ⊗ N_h (h = n/2), that half is
+        N_h (a x[:h] + b x[h:]): one h-point noiselet, not an n-point one.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected length-{self.n} vector, got {x.shape}")
         if self.mode == SCRAMBLED_HADAMARD:
             return fwht((x * self._signs)[self._perm]) * self._scale
-        z = noiselet(x)
+        # the complex memory layout is the interleaved (real, imag) output
         half = self.n // 2
-        out = np.empty(self.n)
-        out[0::2] = np.sqrt(2.0) * z[:half].real
-        out[1::2] = np.sqrt(2.0) * z[:half].imag
-        return out
+        return _SQRT2 * noiselet(_A * x[:half] + _B * x[half:]).view(np.float64)
 
     def full_inverse(self, z):
-        """Inverse (= transpose) of :meth:`full_transform`."""
+        """Inverse (= transpose) of :meth:`full_transform`.
+
+        Noiselet mode reads the interleaved pairs as w = z[0::2] + i z[1::2]
+        and returns sqrt(2) * Re(N_n^H [w; 0]).  Because N_n^H = W^H ⊗ N_h^H
+        and W^H = [[b, a], [a, b]], that is sqrt(2) * [Re(b u); Re(a u)] with
+        u = N_h^H w: one h-point adjoint, not an n-point one.
+        """
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.n,):
             raise ValueError(f"expected length-{self.n} vector, got {z.shape}")
@@ -112,10 +138,14 @@ class MeasurementOperator:
             out = np.empty(self.n)
             out[self._perm] = v
             return out * self._signs
+        # Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2
         half = self.n // 2
-        w = np.zeros(self.n, dtype=np.complex128)
-        w[:half] = z[0::2] + 1j * z[1::2]
-        return np.sqrt(2.0) * noiselet_adjoint(w).real
+        u = noiselet_adjoint(np.ascontiguousarray(z).view(np.complex128))
+        out = np.empty(self.n)
+        np.subtract(u.real, u.imag, out=out[:half])
+        np.add(u.real, u.imag, out=out[half:])
+        out *= 0.5 * _SQRT2
+        return out
 
     def forward(self, x):
         """Subsampled measurements: transform then keep the masked rows."""
@@ -250,6 +280,10 @@ def load_observation(path):
             raise ValueError(f"unknown mode code {mode_code} in {path}")
         if height * width != n:
             raise ValueError("inconsistent dimensions in header")
+        if n < 2 or n & (n - 1):
+            raise ValueError(
+                f"signal length {n} = {height} x {width} is not a power of two >= 2 in {path}"
+            )
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"sampling rate {rate} out of (0, 1] in {path}")
         if not (np.isfinite(sigma) and sigma >= 0):

@@ -234,7 +234,8 @@ def test_recover_byte_deterministic(small_case, capsys):
     assert outs[0] == outs[1]
 
 
-def test_sense_recover_reproducible_at_fixed_thread_count(tmp_path):
+@pytest.mark.parametrize("mode", (sensing.SCRAMBLED_HADAMARD, sensing.COMPLEX_NOISELET))
+def test_sense_recover_reproducible_at_fixed_thread_count(tmp_path, mode):
     # the determinism contract in separate processes: at a fixed BLAS thread
     # count a re-run reproduces the observation, image and report bytes, and
     # every manifest records the thread count it ran at
@@ -248,7 +249,7 @@ def test_sense_recover_reproducible_at_fixed_thread_count(tmp_path):
         cwd = tmp_path / tag
         cwd.mkdir()
         for argv in (("sense", "--image", img_path, "--rate", "0.4", "--sigma", "0.1",
-                      "--seed", "7", "--out", "obs.bin"),
+                      "--seed", "7", "--mode", mode, "--out", "obs.bin"),
                      ("recover", "--obs", "obs.bin", "--family", "rdadcf", "--size", "8",
                       "--truth", img_path, "--out", "rec.pgm")):
             subprocess.run([sys.executable, "-m", "dirframes.cli", *argv], cwd=cwd, env=env,
@@ -313,13 +314,15 @@ _MALFORMED_MESSAGE = {
     "rate": "sampling rate",
     "sigma": "noise level",
     "payload": "non-finite measurement",
+    "pow2": "not a power of two",
 }
 
 
 @pytest.mark.parametrize("field", list(_MALFORMED_MESSAGE))
 def test_recover_malformed_header_exits_3(small_case, field, capsys):
     # a count 3 short of floor(rate * n + 0.5) with the payload cut to match,
-    # a rate outside (0, 1], a NaN noise level, or a NaN measurement
+    # a rate outside (0, 1], a NaN noise level, a NaN measurement, or an
+    # 8 x 24 image (n = 192, not a power of two) at rate 1 with all 192 values
     _, obs_path, tmp = small_case
     raw = Path(obs_path).read_bytes()
     size = sensing._HEADER.size
@@ -333,6 +336,10 @@ def test_recover_malformed_header_exits_3(small_case, field, capsys):
     elif field == "sigma":
         at = struct.calcsize("<8sIIQdQQ")        # the header's float64 sigma
         raw = raw[:at] + nan + raw[at + 8 :]
+    elif field == "pow2":
+        magic, _, _, _, _, seed, seed_noise, sigma, mode, _ = sensing._HEADER.unpack(raw[:size])
+        raw = (sensing._HEADER.pack(magic, 8, 24, 192, 1.0, seed, seed_noise, sigma, mode, 192)
+               + raw[size : size + 8 * 192])
     else:
         at = size + 8 * 5                        # the sixth measurement
         raw = raw[:at] + nan + raw[at + 8 :]

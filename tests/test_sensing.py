@@ -86,29 +86,52 @@ def test_kernels_reject_bad_length():
 # measurement operator
 
 
-@pytest.mark.parametrize("mode", (sensing.SCRAMBLED_HADAMARD, sensing.COMPLEX_NOISELET))
-def test_operator_rows_orthonormal(mode):
-    op = sensing.MeasurementOperator(256, rate=0.4, seed=3, mode=mode)
+MODES = (sensing.SCRAMBLED_HADAMARD, sensing.COMPLEX_NOISELET)
+# n = 2 leaves a length-1 inner noiselet; 8 and 512 are odd powers of two
+OPERATOR_SIZES = (2, 8, 256, 512)
+
+
+def _mode_and_size(sizes, kept):
+    # the case at each test's original size keeps its original id, e.g. [complex-noiselet]
+    return [pytest.param(mode, n, id=mode if n == kept else f"{mode}-{n}")
+            for mode in MODES for n in sizes]
+
+
+def _dense_operator(op):
+    # the real noiselet-mode transform built from the full n-point dense
+    # noiselet, independent of the operator's half-length evaluation
+    if op.mode == sensing.SCRAMBLED_HADAMARD:
+        return op.dense_matrix()
+    first = _dense_noiselet(op.n)[: op.n // 2]
+    out = np.empty((op.n, op.n))
+    out[0::2] = np.sqrt(2.0) * first.real
+    out[1::2] = np.sqrt(2.0) * first.imag
+    return out
+
+
+@pytest.mark.parametrize("mode, n", _mode_and_size(OPERATOR_SIZES, kept=256))
+def test_operator_rows_orthonormal(mode, n):
+    op = sensing.MeasurementOperator(n, rate=0.4, seed=3, mode=mode)
     G = op.dense_matrix() @ op.dense_matrix().T
-    np.testing.assert_allclose(G, np.eye(256), atol=1e-10)
+    np.testing.assert_allclose(G, np.eye(n), atol=1e-10)
 
 
-@pytest.mark.parametrize("mode", (sensing.SCRAMBLED_HADAMARD, sensing.COMPLEX_NOISELET))
-def test_operator_forward_matches_dense(mode):
-    op = sensing.MeasurementOperator(256, rate=0.3, seed=1, mode=mode)
+@pytest.mark.parametrize("mode, n", _mode_and_size(OPERATOR_SIZES, kept=256))
+def test_operator_forward_matches_dense(mode, n):
+    op = sensing.MeasurementOperator(n, rate=0.3, seed=1, mode=mode)
     rng = np.random.Generator(np.random.Philox(key=[4, 0xAD5]))
-    x = rng.standard_normal(256)
-    sub = op.dense_matrix()[op.sample_indices]
+    x = rng.standard_normal(n)
+    sub = _dense_operator(op)[op.sample_indices]
     np.testing.assert_allclose(op.forward(x), sub @ x, atol=1e-12)
     y = rng.standard_normal(op.m)
     np.testing.assert_allclose(op.adjoint(y), sub.T @ y, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", (sensing.SCRAMBLED_HADAMARD, sensing.COMPLEX_NOISELET))
-def test_operator_adjoint_identity(mode):
-    op = sensing.MeasurementOperator(1024, rate=0.5, seed=7, mode=mode)
+@pytest.mark.parametrize("mode, n", _mode_and_size(OPERATOR_SIZES + (1024,), kept=1024))
+def test_operator_adjoint_identity(mode, n):
+    op = sensing.MeasurementOperator(n, rate=0.5, seed=7, mode=mode)
     rng = np.random.Generator(np.random.Philox(key=[5, 0xAD6]))
-    x = rng.standard_normal(1024)
+    x = rng.standard_normal(n)
     y = rng.standard_normal(op.m)
     np.testing.assert_allclose(
         float(op.forward(x) @ y), float(x @ op.adjoint(y)), rtol=1e-12
@@ -116,10 +139,12 @@ def test_operator_adjoint_identity(mode):
 
 
 def test_operator_full_transform_round_trip():
-    op = sensing.MeasurementOperator(512, rate=1.0, seed=2)
     rng = np.random.Generator(np.random.Philox(key=[6, 0xAD7]))
     x = rng.standard_normal(512)
-    np.testing.assert_allclose(op.full_inverse(op.full_transform(x)), x, atol=1e-12)
+    for mode in MODES:
+        op = sensing.MeasurementOperator(512, rate=1.0, seed=2, mode=mode)
+        np.testing.assert_allclose(op.full_inverse(op.full_transform(x)), x, atol=1e-12,
+                                   err_msg=mode)
 
 
 def test_operator_measurement_count():
