@@ -18,6 +18,12 @@ parent's interquartile range, the gap between the two medians, and whether
 the claim rule holds: at least 10 pairs run, at least 9 of every 10 pairs
 won, and a median gap larger than the parent's IQR.  One verdict line per
 timed metric is printed.
+
+``regression`` holds, for every end-to-end metric in ``BENCHMARK.json``, the
+median of each side, the change's relative move against the parent (signed
+so that positive is worse, by the metric's ``better``), the metric's
+``bound`` and whether the move is worse than that bound.  One line per
+metric is printed, flagged ``WORSE`` when it is.
 Running the script again for another workload or seed adds to the file.
 The record also holds ``OPENBLAS_NUM_THREADS`` as the benchmark sets it.
 """
@@ -31,6 +37,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TIMED = ("iter_ms", "solve_s")
+SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _run(checkout, workload, seed, seconds):
@@ -62,6 +69,14 @@ def _verdict(parent, change):
     gap = statistics.median(parent) - statistics.median(change)
     return {"wins": wins, "pairs": len(parent), "parent_iqr": q3 - q1, "median_gap": gap,
             "claim_holds": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > q3 - q1}
+
+
+def _regression(parent, change, spec):
+    """The change's median move on one end-to-end metric, positive when worse."""
+    p, c = statistics.median(parent), statistics.median(change)
+    worse = (c - p) / p if spec["better"] == "lower" else (p - c) / p
+    return {"parent_median": p, "change_median": c, "worse_frac": worse,
+            "bound": spec["bound"], "worse_than_bound": worse > spec["bound"]}
 
 
 def main(argv=None):
@@ -103,6 +118,15 @@ def main(argv=None):
                   f"-> {entry['change'][name]['median']:.4g}, gap {v['median_gap']:.4g} "
                   f"vs parent IQR {v['parent_iqr']:.4g}: "
                   f"claim {'holds' if v['claim_holds'] else 'fails'}", flush=True)
+    entry["regression"] = {}
+    for spec in json.loads(SPEC.read_text())["end_to_end"]:
+        name = spec["name"]
+        v = _regression(entry["parent"][name]["per_pair"], entry["change"][name]["per_pair"], spec)
+        entry["regression"][name] = v
+        print(f"regression {args.workload} seed {args.seed} {name}: median "
+              f"{v['parent_median']:.4g} -> {v['change_median']:.4g}, "
+              f"{100 * v['worse_frac']:+.1f}% (+ is worse), bound {100 * v['bound']:.0f}%: "
+              f"{'WORSE' if v['worse_than_bound'] else 'within bound'}", flush=True)
     seeds[str(args.seed)] = entry
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0

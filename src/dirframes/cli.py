@@ -459,6 +459,8 @@ def cmd_recover(args):
     op = frames.build_frame(args.family, args.size)
     config = _load_config(args.config) if args.config else solver.SolverConfig()
     truth = _load_image(args.truth) if args.truth else None
+    if truth is not None:
+        solver.check_truth_shape(truth, (obs.height, obs.width))
 
     epsilon = args.epsilon
     if args.epsilon_oracle:

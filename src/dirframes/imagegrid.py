@@ -187,9 +187,11 @@ def read_pgm(path):
         vals = data[pos:].split()
         if len(vals) != width * height:
             raise ValueError(f"expected {width * height} samples, got {len(vals)}")
-        pix = np.array([int(v) for v in vals], dtype=np.float64)
-        if pix.min() < 0 or pix.max() > 255:
+        samples = [int(v) for v in vals]
+        # range first: an int past float range would raise OverflowError
+        if min(samples) < 0 or max(samples) > 255:
             raise ValueError("P2 sample out of range")
+        pix = np.array(samples, dtype=np.float64)
     else:
         raise ValueError(f"unsupported magic {magic!r}")
     return (pix / 255.0).reshape(height, width)

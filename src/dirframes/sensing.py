@@ -25,13 +25,26 @@ Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2.  The results equal
 the full-length computation up to rounding: a few ulp, at most 1.8e-15 on a
 unit-variance input at n = 2^16.
 
+An operator can read its input in any fixed order: ``in_order(q)`` returns
+the operator whose ``forward(u)`` is ``forward(u[q])`` and whose adjoint
+scatters back through q.  Every pass starts with one gather, ``_gather``: the
+scrambling permutation in Hadamard mode (with the sign flip carried in
+gathered order, as (x * s)[p] = x[p] * s[p]), the identity in noiselet mode.
+Relabeling composes q into that index, ``q[_gather]``, so a solver that keeps
+its image as a stack of blocks senses it with no layout copy.  The results
+are bit-identical to gathering first and then applying the operator, because
+each step is a permutation or the same multiply.  ``forward`` applies the
+scale (1/sqrt(n), or sqrt(2) for noiselets) to the m kept rows only.
+
 Randomness is counter-based (Philox) with one stream per purpose, keyed as
 (seed, stream-id): permutation 1, sign flips 2, sampling mask 3, noise 4.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,7 +91,12 @@ def _measurement_count(n, rate):
 
 
 class MeasurementOperator:
-    """Row-subsampled orthonormal fast transform, reproducible from a seed."""
+    """Row-subsampled orthonormal fast transform, reproducible from a seed.
+
+    Every pass first gathers its input through one index, ``_gather``: the
+    scrambling permutation in Hadamard mode, the identity in noiselet mode,
+    composed with any input order set by :meth:`in_order`.
+    """
 
     def __init__(self, n, rate, seed, mode=SCRAMBLED_HADAMARD):
         if n < 2 or n & (n - 1):
@@ -100,11 +118,69 @@ class MeasurementOperator:
             _stream(seed, _STREAM_MASK).permutation(self.n)[: self.m]
         )
         if mode == SCRAMBLED_HADAMARD:
-            self._perm = _stream(seed, _STREAM_PERM).permutation(self.n)
-            self._signs = np.where(
-                _stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0
-            )
+            # (x * signs)[perm] = x[perm] * signs[perm]: the sign flip rides
+            # on the gather, in gathered order
+            self._gather = _stream(seed, _STREAM_PERM).permutation(self.n)
+            signs = np.where(_stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)
+            self._signs = signs[self._gather]
             self._scale = 1.0 / np.sqrt(self.n)
+        else:
+            self._gather = np.arange(self.n)
+
+    def in_order(self, q):
+        """The same operator on inputs stored in another order.
+
+        ``q`` is a permutation of range(n).  The result's ``forward(u)``
+        equals ``self.forward(u[q])`` and its ``adjoint(y)`` is the matching
+        scatter, ``out[q] = self.adjoint(y)``, both bit for bit: the two
+        gathers compose into the one index ``q[_gather]``, and every other
+        step is unchanged.
+        """
+        q = np.asarray(q)
+        if q.shape != (self.n,) or q.dtype.kind not in "iu":
+            raise ValueError(f"expected a length-{self.n} integer index, got {q.dtype} {q.shape}")
+        q = q.astype(np.intp, copy=False)
+        if q.min() < 0 or not np.all(np.bincount(q, minlength=self.n) == 1):
+            raise ValueError("input order must be a permutation of range(n)")
+        op = copy.copy(self)
+        op._gather = q[self._gather]
+        return op
+
+    def _check(self, v, length):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (length,):
+            raise ValueError(f"expected length-{length} vector, got {v.shape}")
+        return v
+
+    def _transform(self, x, rows):
+        """Rows ``rows`` (a slice or an index) of the full transform of x."""
+        g = self._gather
+        if self.mode == SCRAMBLED_HADAMARD:
+            v = x[g]
+            v *= self._signs
+            return fwht(v)[rows] * self._scale
+        # the complex memory layout is the interleaved (real, imag) output
+        half = self.n // 2
+        v = noiselet(_A * x[g[:half]] + _B * x[g[half:]]).view(np.float64)
+        return v[rows] * _SQRT2
+
+    def _inverse(self, z):
+        """Transpose of the full transform, scattered back through the gather."""
+        if self.mode == SCRAMBLED_HADAMARD:
+            v = fwht(z)
+            v *= self._scale
+            v *= self._signs
+        else:
+            # Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2
+            half = self.n // 2
+            u = noiselet_adjoint(z.view(np.complex128))
+            v = np.empty(self.n)
+            np.subtract(u.real, u.imag, out=v[:half])
+            np.add(u.real, u.imag, out=v[half:])
+            v *= 0.5 * _SQRT2
+        out = np.empty(self.n)
+        out[self._gather] = v
+        return out
 
     def full_transform(self, x):
         """Apply the full n x n orthonormal transform.
@@ -113,14 +189,7 @@ class MeasurementOperator:
         interleaved.  Because N_n = W ⊗ N_h (h = n/2), that half is
         N_h (a x[:h] + b x[h:]): one h-point noiselet, not an n-point one.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector, got {x.shape}")
-        if self.mode == SCRAMBLED_HADAMARD:
-            return fwht((x * self._signs)[self._perm]) * self._scale
-        # the complex memory layout is the interleaved (real, imag) output
-        half = self.n // 2
-        return _SQRT2 * noiselet(_A * x[:half] + _B * x[half:]).view(np.float64)
+        return self._transform(self._check(x, self.n), slice(None))
 
     def full_inverse(self, z):
         """Inverse (= transpose) of :meth:`full_transform`.
@@ -130,36 +199,19 @@ class MeasurementOperator:
         and W^H = [[b, a], [a, b]], that is sqrt(2) * [Re(b u); Re(a u)] with
         u = N_h^H w: one h-point adjoint, not an n-point one.
         """
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector, got {z.shape}")
-        if self.mode == SCRAMBLED_HADAMARD:
-            v = fwht(z) * self._scale
-            out = np.empty(self.n)
-            out[self._perm] = v
-            return out * self._signs
-        # Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2
-        half = self.n // 2
-        u = noiselet_adjoint(np.ascontiguousarray(z).view(np.complex128))
-        out = np.empty(self.n)
-        np.subtract(u.real, u.imag, out=out[:half])
-        np.add(u.real, u.imag, out=out[half:])
-        out *= 0.5 * _SQRT2
-        return out
+        return self._inverse(np.ascontiguousarray(self._check(z, self.n)))
 
     def forward(self, x):
         """Subsampled measurements: transform then keep the masked rows."""
-        return self.full_transform(x)[self.sample_indices]
+        return self._transform(self._check(x, self.n), self.sample_indices)
 
     def adjoint(self, y):
         """Transpose of :meth:`forward`; equals the Moore-Penrose pseudo-inverse
         applied to y because the kept rows are orthonormal."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.m,):
-            raise ValueError(f"expected length-{self.m} vector, got {y.shape}")
+        y = self._check(y, self.m)
         z = np.zeros(self.n)
         z[self.sample_indices] = y
-        return self.full_inverse(z)
+        return self._inverse(z)
 
     def dense_matrix(self):
         """Materialize the full transform (tests/verification; n <= 4096)."""
@@ -292,6 +344,9 @@ def load_observation(path):
             raise ValueError(
                 f"header count {m} does not match rate {rate} of {n} samples in {path}"
             )
+        # size the read by the file, not by the header's count
+        if os.fstat(fh.fileno()).st_size - _HEADER.size < 8 * m:
+            raise ValueError(f"truncated payload in {path}")
         payload = fh.read(8 * m)
         if len(payload) != 8 * m:
             raise ValueError(f"truncated payload in {path}")

@@ -17,6 +17,25 @@ conjugate proxes in closed form.  The l1 dual is clipped to [-1, 1], the
 l1,2 dual is scaled pixel by pixel into the ball of radius rho, and the data
 dual goes through the Moreau identity with the ball projection.
 
+The primal iterate, its gradient and the extrapolated point are kept as the
+(L, M, M) stack of blocks in raster order that ``FrameOperator.analyze_blocks``
+and ``adjoint_blocks`` read and write, so the frame needs no layout change.
+The measurement operator is relabeled once, with ``in_order``, to read that
+stack directly: its column-major vectorization and its scrambling permutation
+become one gather.  Only two conversions stay in the loop, and only for
+rho > 0: one ``from_blocks`` before ``DiffOperator.apply`` and one
+``to_blocks`` after ``DiffOperator.adjoint``.  The difference operator stays
+image-ordered because its shifts cross block boundaries: rewritten on
+(r, c, M, M) views its inner loops are only M wide, and its adjoint took
+1.2 ms against 0.57 ms on a 256 x 256 image.  The truth image is converted
+once, for the PSNR trace, and the result once, on return.  Every step is a
+permutation of the image-ordered computation or the same elementwise
+arithmetic, so the image bytes are unchanged; residuals and PSNRs are sums
+taken in another order and move only by rounding.
+
+The three dual steps are ``dual_l1``, ``dual_l12`` and ``dual_data``.  Each
+reuses its operator's fresh output as the accumulator.
+
 Step sizes must satisfy gamma1 * gamma2 * ||L||^2 <= 1 for the stacked
 operator L = [F B; W D; Phi].  Since L^T L is the sum of the blocks' Gram
 operators, ||L||^2 <= ||F||^2 + ||W D||^2 + ||Phi||^2 = 1 + 8 [rho > 0] + 1:
@@ -42,12 +61,16 @@ __all__ = [
     "prox_box01",
     "project_ball",
     "project_point",
+    "dual_l1",
+    "dual_l12",
+    "dual_data",
     "DiffOperator",
     "SolverConfig",
     "ProblemSpec",
     "ConvergenceReport",
     "DivergenceError",
     "solve",
+    "check_truth_shape",
     "objective_terms",
     "FIDELITY_L2BALL",
     "FIDELITY_EQUALITY",
@@ -115,6 +138,46 @@ def project_point(v, point):
     if v.shape != point.shape:
         raise ValueError("shape mismatch")
     return point.copy()
+
+
+# ---------------------------------------------------------------------------
+# dual updates: prox of gamma * f* at z + gamma * a, in closed form
+#
+# Each takes the fresh output ``a`` of its operator and returns it,
+# overwritten with the update.  By the Moreau identity
+# prox_{gamma f*}(v) = v - gamma * prox_{f / gamma}(v / gamma), the l1 and
+# l1,2 updates are the projections onto the conjugates' domains (the unit box
+# and the radius-rho pixel disks), and the data update goes through the
+# projection onto the data set.
+
+
+def dual_l1(z, a, gamma):
+    """l1 dual step: clip(z + gamma * a, -1, 1), computed in ``a``."""
+    a *= gamma
+    a += z
+    return np.clip(a, -1.0, 1.0, out=a)
+
+
+def dual_l12(z, a, gamma, rho):
+    """l1,2 dual step on stacked (2, H, W) pairs: t = z + gamma * a scaled
+    pixel by pixel into the disk of radius rho, computed in ``a``."""
+    a *= gamma
+    a += z
+    scale = np.sqrt(a[0] ** 2 + a[1] ** 2)
+    np.maximum(scale, rho, out=scale)
+    np.divide(rho, scale, out=scale)
+    a *= scale
+    return a
+
+
+def dual_data(z, a, gamma, y, eps, mode):
+    """Data dual step: t - gamma * P(t / gamma) with t = z + gamma * a and P
+    the projection onto the ball ||u - y|| <= eps (or onto {y})."""
+    a *= gamma
+    a += z
+    if mode == FIDELITY_L2BALL:
+        return a - gamma * project_ball(a / gamma, y, eps)
+    return a - gamma * y
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +337,33 @@ def _divergence_guard(residuals, window=100, factor=10.0):
         )
 
 
+def _block_order(M, r, c):
+    """Index q with q[j] = position, in the raveled (r*c, M, M) block stack,
+    of the pixel at column-major index j: the image of stack positions, read
+    column-major.  ``u[q]`` is the column-major vector of the image whose
+    blocks are u."""
+    positions = np.arange(r * c * M * M).reshape(r * c, M, M)
+    return from_blocks(BlockGrid(M, r, c, positions)).ravel(order="F")
+
+
+def check_truth_shape(truth, shape):
+    """The reference image as float64, or ``ValueError`` naming both shapes
+    when it does not have the observation's ``shape``."""
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.shape != tuple(shape):
+        raise ValueError(
+            f"truth image shape {truth.shape} does not match the observation's {tuple(shape)}"
+        )
+    return truth
+
+
 def solve(problem, config=None, truth=None):
     """Run the primal-dual loop; returns (image, ConvergenceReport).
 
     The primal iterate starts from the clipped pseudo-inverse estimate and
     dual variables start at zero; with fixed seeds the run is reproducible
-    bit-for-bit.  ``truth`` (optional reference image) enables the PSNR
-    trace.  Raises :class:`DivergenceError` if the residual is not finite or
+    bit-for-bit.  ``truth`` (optional reference image of the observation's
+    shape, else ``ValueError``) enables the PSNR trace.  Raises :class:`DivergenceError` if the residual is not finite or
     grows 10x over a 100-iteration window.
     """
     if config is None:
@@ -307,19 +390,14 @@ def solve(problem, config=None, truth=None):
         raise ValueError("step sizes must be positive")
 
     r, c = H // M, W // M
-    n_out = frame.n_out
+    L = r * c
+    if truth is not None:
+        truth = check_truth_shape(truth, (H, W))
+        # psnr is a mean over pixels, so it reads the truth in block order too
+        truth = to_blocks(truth, M).blocks.reshape(L, M * M)
 
-    def A1(x):
-        return frame.analyze_blocks(to_blocks(x, M).blocks).ravel()
-
-    def A1t(z):
-        return from_blocks(BlockGrid(M, r, c, frame.adjoint_blocks(z.reshape(r * c, n_out))))
-
-    def A3(x):
-        return meas.forward(x.reshape(-1, order="F"))
-
-    def A3t(v):
-        return meas.adjoint(v).reshape(H, W, order="F")
+    # the iterate is the (L, M, M) block stack that the frame reads and writes
+    meas = meas.in_order(_block_order(M, r, c))
 
     use_tv = rho > 0
     diff = DiffOperator((H, W), M) if use_tv else None
@@ -332,8 +410,8 @@ def solve(problem, config=None, truth=None):
             f"(got {g1 * g2 * op_norm_sq:.6f})"
         )
 
-    x = np.clip(A3t(y), 0.0, 1.0)
-    z1 = np.zeros(r * c * n_out)
+    x = np.clip(meas.adjoint(y).reshape(L, M, M), 0.0, 1.0)
+    z1 = np.zeros((L, frame.n_out))
     z2 = np.zeros((2, H, W)) if use_tv else None
     z3 = np.zeros(obs.measurement_count)
 
@@ -342,26 +420,25 @@ def solve(problem, config=None, truth=None):
     stop_reason = "max-iters"
 
     for it in range(int(config.max_iters)):
-        grad = A1t(z1) + A3t(z3)
+        grad = frame.adjoint_blocks(z1)
+        grad += meas.adjoint(z3).reshape(L, M, M)
         if use_tv:
-            grad += diff.adjoint(z2)
-        x_new = np.clip(x - g1 * grad, 0.0, 1.0)
-        xb = 2.0 * x_new - x
+            grad += to_blocks(diff.adjoint(z2), M).blocks
+        grad *= g1
+        x_new = np.subtract(x, grad, out=grad)
+        np.clip(x_new, 0.0, 1.0, out=x_new)
+        xb = 2.0 * x_new
+        xb -= x
 
-        z1 = np.clip(z1 + g2 * A1(xb), -1.0, 1.0)
+        z1 = dual_l1(z1, frame.analyze_blocks(xb), g2)
         if use_tv:
-            t2 = z2 + g2 * diff.apply(xb)
-            z2 = t2 * (rho / np.maximum(np.sqrt(t2[0] ** 2 + t2[1] ** 2), rho))
-        t3 = z3 + g2 * A3(xb)
-        if problem.fidelity_mode == FIDELITY_L2BALL:
-            z3 = t3 - g2 * project_ball(t3 / g2, y, eps)
-        else:
-            z3 = t3 - g2 * y
+            z2 = dual_l12(z2, diff.apply(from_blocks(BlockGrid(M, r, c, xb))), g2, rho)
+        z3 = dual_data(z3, meas.forward(xb.reshape(-1)), g2, y, eps, problem.fidelity_mode)
 
-        res = float(np.linalg.norm(x_new - x))
+        res = float(np.linalg.norm(np.subtract(x_new, x, out=x)))
         residuals.append(res)
         if psnr_history is not None:
-            psnr_history.append(psnr(truth, x_new))
+            psnr_history.append(psnr(truth, x_new.reshape(L, M * M)))
         x = x_new
         # the first primal step is a no-op (duals start at zero), so the
         # increment test only counts from the second iteration onwards
@@ -381,7 +458,7 @@ def solve(problem, config=None, truth=None):
         psnr_history=np.array(psnr_history) if psnr_history is not None else None,
         final_psnr=psnr_history[-1] if psnr_history else None,
     )
-    return x, report
+    return from_blocks(BlockGrid(M, r, c, x)), report
 
 
 def objective_terms(problem, x):

@@ -296,6 +296,19 @@ def test_recover_oracle_without_truth_exits_2(small_case, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [[], ["--epsilon-oracle"]], ids=["truth", "epsilon-oracle"])
+def test_recover_truth_of_wrong_size_exits_2(small_case, extra, capsys):
+    # a 16 x 16 truth for a 32 x 32 observation fails before any iteration
+    _, obs_path, tmp = small_case
+    truth = _write_image(tmp / "small.pgm", ig.block_mosaic(16, seed=0))
+    out = tmp / "x.pgm"
+    assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
+                "--truth", truth, "--out", str(out), *extra) == 2
+    assert "truth image shape (16, 16) does not match the observation's (32, 32)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_recover_missing_observation_exits_3(tmp_path, capsys):
     assert _run("recover", "--obs", str(tmp_path / "none.bin"), "--family", "rdadcf",
                 "--size", "8", "--out", str(tmp_path / "x.pgm")) == 3
@@ -315,6 +328,7 @@ _MALFORMED_MESSAGE = {
     "sigma": "noise level",
     "payload": "non-finite measurement",
     "pow2": "not a power of two",
+    "huge": "truncated payload",
 }
 
 
@@ -322,7 +336,8 @@ _MALFORMED_MESSAGE = {
 def test_recover_malformed_header_exits_3(small_case, field, capsys):
     # a count 3 short of floor(rate * n + 0.5) with the payload cut to match,
     # a rate outside (0, 1], a NaN noise level, a NaN measurement, or an
-    # 8 x 24 image (n = 192, not a power of two) at rate 1 with all 192 values
+    # 8 x 24 image (n = 192, not a power of two) at rate 1 with all 192 values,
+    # or a header whose count is far past the file's end
     _, obs_path, tmp = small_case
     raw = Path(obs_path).read_bytes()
     size = sensing._HEADER.size
@@ -336,6 +351,11 @@ def test_recover_malformed_header_exits_3(small_case, field, capsys):
     elif field == "sigma":
         at = struct.calcsize("<8sIIQdQQ")        # the header's float64 sigma
         raw = raw[:at] + nan + raw[at + 8 :]
+    elif field == "huge":
+        # a valid 65536 x 65536 header: its count asks for a 16 GiB payload
+        magic, _, _, _, _, seed, seed_noise, sigma, mode, _ = sensing._HEADER.unpack(raw[:size])
+        raw = (sensing._HEADER.pack(magic, 2**16, 2**16, 2**32, 0.5, seed, seed_noise, sigma,
+                                    mode, 2**31) + raw[size:])
     elif field == "pow2":
         magic, _, _, _, _, seed, seed_noise, sigma, mode, _ = sensing._HEADER.unpack(raw[:size])
         raw = (sensing._HEADER.pack(magic, 8, 24, 192, 1.0, seed, seed_noise, sigma, mode, 192)

@@ -147,6 +147,53 @@ def test_operator_full_transform_round_trip():
                                    err_msg=mode)
 
 
+@pytest.mark.parametrize("mode, n", _mode_and_size(OPERATOR_SIZES + (2**14,), kept=512))
+def test_operator_in_order_is_gather_then_operator(mode, n):
+    op = sensing.MeasurementOperator(n, rate=0.4, seed=13, mode=mode)
+    rng = np.random.Generator(np.random.Philox(key=[n, 0xADC]))
+    q = rng.permutation(n)
+    relabeled = op.in_order(q)
+    u = rng.standard_normal(n)
+    y = rng.standard_normal(op.m)
+    # bit for bit: the composite gather changes no arithmetic
+    assert relabeled.forward(u).tobytes() == op.forward(u[q]).tobytes()
+    back = relabeled.adjoint(y)
+    assert back[q].tobytes() == op.adjoint(y).tobytes()
+    assert relabeled.full_transform(u).tobytes() == op.full_transform(u[q]).tobytes()
+    assert relabeled.full_inverse(u)[q].tobytes() == op.full_inverse(u).tobytes()
+    # relabeling composes, and the identity order changes nothing
+    p = rng.permutation(n)
+    assert relabeled.in_order(p).forward(u).tobytes() == op.forward(u[p][q]).tobytes()
+    assert op.in_order(np.arange(n)).forward(u).tobytes() == op.forward(u).tobytes()
+
+
+def test_operator_in_order_rejects_non_permutation():
+    op = sensing.MeasurementOperator(16, rate=0.5, seed=1)
+    for q in (np.zeros(16, int), np.arange(8), np.arange(16.0), np.arange(1, 17),
+              np.arange(-1, 15)):
+        with pytest.raises(ValueError):
+            op.in_order(q)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_operator_matches_seeded_definition(mode):
+    # forward, bit for bit, against the operator's definition from its
+    # Philox streams: sign flip, then permutation, then the scaled fwht, or
+    # the half-length noiselet; then the sampled rows
+    n = 1024
+    op = sensing.MeasurementOperator(n, rate=0.3, seed=21, mode=mode)
+    x = np.random.Generator(np.random.Philox(key=[n, 0xADD])).standard_normal(n)
+    if mode == sensing.SCRAMBLED_HADAMARD:
+        perm = np.random.Generator(np.random.Philox(key=[21, 1])).permutation(n)
+        signs = np.where(np.random.Generator(np.random.Philox(key=[21, 2])).random(n) < 0.5,
+                         -1.0, 1.0)
+        full = backend.fwht((x * signs)[perm]) * (1.0 / np.sqrt(n))
+    else:
+        a, b = 0.5 - 0.5j, 0.5 + 0.5j
+        full = np.sqrt(2.0) * backend.noiselet(a * x[: n // 2] + b * x[n // 2:]).view(np.float64)
+    assert op.forward(x).tobytes() == full[op.sample_indices].tobytes()
+
+
 def test_operator_measurement_count():
     op = sensing.MeasurementOperator(1024, rate=0.3, seed=0)
     assert op.m == round(0.3 * 1024)

@@ -365,3 +365,143 @@ def test_divergence_guard():
         sv._divergence_guard([0.1] * 101 + [1.1])
     with pytest.raises(sv.DivergenceError):
         sv._divergence_guard([0.1, float("nan")])         # non-finite: at once
+
+
+def test_solve_rejects_truth_of_wrong_shape():
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
+    with pytest.raises(ValueError, match=r"\(8, 8\).*\(16, 16\)"):
+        sv.solve(prob, truth=np.zeros((8, 8)))
+
+
+# ---------------------------------------------------------------------------
+# dual updates against the primal proxes, through the Moreau identity
+# prox_{g f*}(v) = v - g prox_{f/g}(v / g), v = z + g a
+
+
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 8.3])
+def test_dual_l1_moreau(gamma):
+    rng = _rng(20)
+    z = np.clip(rng.standard_normal((6, 11)), -1.0, 1.0)
+    a = 3.0 * rng.standard_normal((6, 11))
+    v = z + gamma * a
+    want = v - gamma * sv.prox_l1(v / gamma, 1.0 / gamma)
+    got = sv.dual_l1(z, a.copy(), gamma)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert np.abs(got).max() <= 1.0
+
+
+@pytest.mark.parametrize("gamma, rho", [(0.3, 1.0), (1.0, 0.5), (8.3, 2.0)])
+def test_dual_l12_moreau(gamma, rho):
+    rng = _rng(21)
+    z = 0.4 * rng.standard_normal((2, 5, 7))
+    a = 3.0 * rng.standard_normal((2, 5, 7))
+    v = z + gamma * a
+    # prox_l12 groups contiguous pairs: put each pixel's (vertical,
+    # horizontal) pair side by side
+    pairs = np.moveaxis(v, 0, -1).reshape(-1)
+    prox = np.moveaxis(sv.prox_l12(pairs / gamma, rho / gamma).reshape(5, 7, 2), -1, 0)
+    want = v - gamma * prox
+    got = sv.dual_l12(z, a.copy(), gamma, rho)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert np.sqrt(got[0] ** 2 + got[1] ** 2).max() <= rho * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 100.0])
+@pytest.mark.parametrize("gamma", [0.3, 8.3])
+def test_dual_data_moreau(gamma, radius):
+    rng = _rng(22)
+    y = rng.standard_normal(9)
+    z = rng.standard_normal(9)
+    a = rng.standard_normal(9)
+    v = z + gamma * a
+    want = v - gamma * sv.project_ball(v / gamma, y, radius)
+    got = sv.dual_data(z, a.copy(), gamma, y, radius, sv.FIDELITY_L2BALL)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    want = v - gamma * sv.project_point(v / gamma, y)
+    got = sv.dual_data(z, a.copy(), gamma, y, radius, sv.FIDELITY_EQUALITY)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the block-major loop against an image-order copy of it
+
+
+def _image_order_solve(problem, iters):
+    """The primal-dual loop with the iterate kept as an (H, W) image: the
+    frame reads it through to_blocks/from_blocks and sensing through the
+    column-major vectorization.  Same arithmetic as ``solve``, in the layout
+    the loop used before it kept block stacks."""
+    obs = problem.observation
+    frame = problem.frame
+    M = frame.block_size
+    H, W = obs.height, obs.width
+    r, c = H // M, W // M
+    meas = obs.operator()
+    y = np.asarray(obs.y)
+    eps = problem.resolved_epsilon()
+    g1 = 0.01
+    g2 = 1.0 / (12.0 * g1)
+    rho = problem.rho
+    diff = sv.DiffOperator((H, W), M) if rho > 0 else None
+
+    def A1(x):
+        return frame.analyze_blocks(ig.to_blocks(x, M).blocks).ravel()
+
+    def A1t(z):
+        return ig.from_blocks(ig.BlockGrid(M, r, c, frame.adjoint_blocks(z.reshape(r * c, -1))))
+
+    def A3(x):
+        return meas.forward(x.reshape(-1, order="F"))
+
+    def A3t(v):
+        return meas.adjoint(v).reshape(H, W, order="F")
+
+    x = np.clip(A3t(y), 0.0, 1.0)
+    z1 = np.zeros(r * c * frame.n_out)
+    z2 = np.zeros((2, H, W))
+    z3 = np.zeros(obs.measurement_count)
+    residuals = []
+    for _ in range(iters):
+        grad = A1t(z1) + A3t(z3)
+        if diff is not None:
+            grad += diff.adjoint(z2)
+        x_new = np.clip(x - g1 * grad, 0.0, 1.0)
+        xb = 2.0 * x_new - x
+        z1 = np.clip(z1 + g2 * A1(xb), -1.0, 1.0)
+        if diff is not None:
+            t2 = z2 + g2 * diff.apply(xb)
+            z2 = t2 * (rho / np.maximum(np.sqrt(t2[0] ** 2 + t2[1] ** 2), rho))
+        t3 = z3 + g2 * A3(xb)
+        z3 = t3 - g2 * sv.project_ball(t3 / g2, y, eps)
+        residuals.append(float(np.linalg.norm(x_new - x)))
+        x = x_new
+    return x, np.array(residuals)
+
+
+@pytest.mark.parametrize("mode, shape", [(sn.SCRAMBLED_HADAMARD, (32, 64)),
+                                         (sn.COMPLEX_NOISELET, (64, 32))])
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+@pytest.mark.parametrize("M", [4, 8, 32])
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+def test_block_major_loop_matches_image_order(family, M, rho, mode, shape):
+    img = ig.oriented_texture(64, seed=5)[: shape[0], : shape[1]]
+    obs = sn.sense_image(img, 0.4, 0.05, seed=9, mode=mode)
+    prob = sv.ProblemSpec(frame=fr.build_frame(family, M), observation=obs, rho=rho)
+    want, want_res = _image_order_solve(prob, 25)
+    got, rep = sv.solve(prob, sv.SolverConfig(max_iters=25, stop_tol=0.0), truth=img)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    # the increments are sums over the pixels taken in another order
+    np.testing.assert_allclose(rep.residuals, want_res, rtol=1e-12)
+    np.testing.assert_allclose(rep.psnr_history[-1], ig.psnr(img, got), rtol=1e-12)
+
+
+def test_block_order_senses_the_image():
+    # u[q] is the column-major vector of the image whose blocks are u
+    H, W, M = 16, 32, 4
+    img = np.arange(H * W, dtype=float).reshape(H, W)
+    q = sv._block_order(M, H // M, W // M)
+    u = ig.to_blocks(img, M).blocks.reshape(-1)
+    np.testing.assert_array_equal(u[q], img.reshape(-1, order="F"))
