@@ -22,8 +22,17 @@ timed metric is printed.
 ``regression`` holds, for every end-to-end metric in ``BENCHMARK.json``, the
 median of each side, the change's relative move against the parent (signed
 so that positive is worse, by the metric's ``better``), the metric's
-``bound`` and whether the move is worse than that bound.  One line per
-metric is printed, flagged ``WORSE`` when it is.
+``bound`` and whether the move is worse than that bound.  It also holds the
+parent's own spread, its interquartile range over its median.  When that
+spread is wider than the bound, the runs cannot tell a move of the bound's
+size from noise, so the metric is ``unresolved`` unless every change run
+beats every parent run.  One line per metric is printed, flagged
+``unresolved`` or ``WORSE`` when it is.
+
+The record is written after every pair, so a series cut short keeps the
+pairs it finished.  A run that exits with an error or prints no result is
+listed under ``failed_runs`` (pair, side, error and the end of its stderr),
+its pair is dropped, and the series goes on.
 Running the script again for another workload or seed adds to the file.
 The record also holds ``OPENBLAS_NUM_THREADS`` as the benchmark sets it.
 """
@@ -41,12 +50,22 @@ SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _run(checkout, workload, seed, seconds):
+    """One benchmark run: ``(env, result)``, or ``(None, failure)`` when the
+    run exits with an error or its output holds no result."""
     cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    lines = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.splitlines()
-    env = json.loads(next(line[4:] for line in lines if line.startswith("env ")))
-    return env, json.loads(lines[-1])
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0:
+        error = f"exit code {done.returncode}"
+    else:
+        try:
+            env = json.loads(next(line[4:] for line in lines if line.startswith("env ")))
+            return env, json.loads(lines[-1])
+        except (ValueError, StopIteration, IndexError) as exc:
+            error = f"no result in its output ({type(exc).__name__})"
+    return None, {"error": error, "stderr": done.stderr[-2000:]}
 
 
 def _summary(runs):
@@ -72,11 +91,55 @@ def _verdict(parent, change):
 
 
 def _regression(parent, change, spec):
-    """The change's median move on one end-to-end metric, positive when worse."""
+    """The change's median move on one end-to-end metric, positive when
+    worse, and whether the parent's own spread leaves it unresolved."""
     p, c = statistics.median(parent), statistics.median(change)
-    worse = (c - p) / p if spec["better"] == "lower" else (p - c) / p
+    lower = spec["better"] == "lower"
+    worse = (c - p) / p if lower else (p - c) / p
+    spread = None
+    if len(parent) > 1:
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        spread = (q3 - q1) / p
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
     return {"parent_median": p, "change_median": c, "worse_frac": worse,
-            "bound": spec["bound"], "worse_than_bound": worse > spec["bound"]}
+            "bound": spec["bound"], "worse_than_bound": worse > spec["bound"],
+            "parent_spread": spread, "change_beats_every_parent_run": beats_all,
+            "unresolved": spread is not None and spread > spec["bound"] and not beats_all}
+
+
+def _entry(runs, failures):
+    """The record of one workload and seed, from the pairs finished so far."""
+    entry = {"failed_runs": failures}
+    if not runs["parent"]:
+        return entry
+    entry.update({side: _summary(runs[side]) for side in SIDES})
+    if len(runs["parent"]) > 1:
+        entry["verdict"] = {name: _verdict(entry["parent"][name]["per_pair"],
+                                           entry["change"][name]["per_pair"]) for name in TIMED}
+    entry["regression"] = {
+        spec["name"]: _regression(entry["parent"][spec["name"]]["per_pair"],
+                                  entry["change"][spec["name"]]["per_pair"], spec)
+        for spec in json.loads(SPEC.read_text())["end_to_end"]}
+    return entry
+
+
+def _print_entry(workload, seed, entry):
+    for name, v in entry.get("verdict", {}).items():
+        print(f"verdict {workload} seed {seed} {name}: "
+              f"{v['wins']}/{v['pairs']} won, median {entry['parent'][name]['median']:.4g} "
+              f"-> {entry['change'][name]['median']:.4g}, gap {v['median_gap']:.4g} "
+              f"vs parent IQR {v['parent_iqr']:.4g}: "
+              f"claim {'holds' if v['claim_holds'] else 'fails'}", flush=True)
+    for name, v in entry.get("regression", {}).items():
+        status = ("unresolved" if v["unresolved"]
+                  else "WORSE" if v["worse_than_bound"] else "within bound")
+        spread = "n/a" if v["parent_spread"] is None else f"{100 * v['parent_spread']:.1f}%"
+        print(f"regression {workload} seed {seed} {name}: median "
+              f"{v['parent_median']:.4g} -> {v['change_median']:.4g}, "
+              f"{100 * v['worse_frac']:+.1f}% (+ is worse), bound {100 * v['bound']:.0f}%, "
+              f"parent spread {spread}: {status}", flush=True)
+    if entry["failed_runs"]:
+        print(f"{len(entry['failed_runs'])} failed runs, their pairs dropped", flush=True)
 
 
 def main(argv=None):
@@ -91,45 +154,33 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     checkouts = {"parent": args.parent, "change": args.change}
-    runs = {side: [] for side in SIDES}
-    threads = None
-    for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            env, result = _run(checkouts[side], args.workload, args.seed, args.seconds)
-            threads = env["threads"]["OPENBLAS_NUM_THREADS"]
-            runs[side].append(result)
-            print(f"pair {i} {side}: iter_ms {result['metrics']['iter_ms']['value']:.3f} "
-                  f"failed {result['failed']}", flush=True)
-
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
-    record["OPENBLAS_NUM_THREADS"] = threads
     record["command"] = f"perfbench/run.py --seconds {args.seconds:g} --trace 0"
     seeds = record["workloads"].setdefault(args.workload, {})
-    entry = {side: _summary(runs[side]) for side in SIDES}
-    if args.pairs > 1:
-        entry["verdict"] = {}
-        for name in TIMED:
-            v = _verdict(entry["parent"][name]["per_pair"], entry["change"][name]["per_pair"])
-            entry["verdict"][name] = v
-            print(f"verdict {args.workload} seed {args.seed} {name}: "
-                  f"{v['wins']}/{v['pairs']} won, median {entry['parent'][name]['median']:.4g} "
-                  f"-> {entry['change'][name]['median']:.4g}, gap {v['median_gap']:.4g} "
-                  f"vs parent IQR {v['parent_iqr']:.4g}: "
-                  f"claim {'holds' if v['claim_holds'] else 'fails'}", flush=True)
-    entry["regression"] = {}
-    for spec in json.loads(SPEC.read_text())["end_to_end"]:
-        name = spec["name"]
-        v = _regression(entry["parent"][name]["per_pair"], entry["change"][name]["per_pair"], spec)
-        entry["regression"][name] = v
-        print(f"regression {args.workload} seed {args.seed} {name}: median "
-              f"{v['parent_median']:.4g} -> {v['change_median']:.4g}, "
-              f"{100 * v['worse_frac']:+.1f}% (+ is worse), bound {100 * v['bound']:.0f}%: "
-              f"{'WORSE' if v['worse_than_bound'] else 'within bound'}", flush=True)
-    seeds[str(args.seed)] = entry
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return 0
+    runs = {side: [] for side in SIDES}
+    failures = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for side in order:
+            env, result = _run(checkouts[side], args.workload, args.seed, args.seconds)
+            if env is None:
+                failures.append({"pair": i, "side": side, **result})
+                print(f"pair {i} {side}: run failed ({result['error']})", flush=True)
+                break
+            record["OPENBLAS_NUM_THREADS"] = env["threads"]["OPENBLAS_NUM_THREADS"]
+            pair[side] = result
+            print(f"pair {i} {side}: iter_ms {result['metrics']['iter_ms']['value']:.3f} "
+                  f"failed {result['failed']}", flush=True)
+        if len(pair) == len(SIDES):
+            for side in SIDES:
+                runs[side].append(pair[side])
+        seeds[str(args.seed)] = _entry(runs, failures)
+        out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+    _print_entry(args.workload, args.seed, seeds[str(args.seed)])
+    return 0 if runs["parent"] else 1
 
 
 if __name__ == "__main__":

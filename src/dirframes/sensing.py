@@ -27,14 +27,20 @@ unit-variance input at n = 2^16.
 
 An operator can read its input in any fixed order: ``in_order(q)`` returns
 the operator whose ``forward(u)`` is ``forward(u[q])`` and whose adjoint
-scatters back through q.  Every pass starts with one gather, ``_gather``: the
-scrambling permutation in Hadamard mode (with the sign flip carried in
-gathered order, as (x * s)[p] = x[p] * s[p]), the identity in noiselet mode.
-Relabeling composes q into that index, ``q[_gather]``, so a solver that keeps
+returns its output in that order too.  Every pass starts with one gather,
+``_gather``: the scrambling permutation in Hadamard mode (with the sign flip
+carried in gathered order, as (x * s)[p] = x[p] * s[p]), the identity in
+noiselet mode.  Every adjoint ends with one gather through the inverse
+index, ``_scatter``, which moves the same values as the scatter
+``out[_gather] = v`` at about half its cost.  Relabeling composes q into
+the gather, ``q[_gather]``, and inverts that afresh, so a solver that keeps
 its image as a stack of blocks senses it with no layout copy.  The results
 are bit-identical to gathering first and then applying the operator, because
 each step is a permutation or the same multiply.  ``forward`` applies the
 scale (1/sqrt(n), or sqrt(2) for noiselets) to the m kept rows only.
+
+Signal lengths are capped at ``MAX_SIGNAL_LENGTH`` = 2^26 (an 8192 x 8192
+image), where the two held indices take 1 GiB: a header may not ask for more.
 
 Randomness is counter-based (Philox) with one stream per purpose, keyed as
 (seed, stream-id): permutation 1, sign flips 2, sampling mask 3, noise 4.
@@ -53,6 +59,7 @@ import numpy as np
 from .backend import _A, _B, fwht, noiselet, noiselet_adjoint
 
 __all__ = [
+    "MAX_SIGNAL_LENGTH",
     "SCRAMBLED_HADAMARD",
     "COMPLEX_NOISELET",
     "MeasurementOperator",
@@ -66,6 +73,8 @@ __all__ = [
 
 SCRAMBLED_HADAMARD = "scrambled-hadamard"
 COMPLEX_NOISELET = "complex-noiselet"
+
+MAX_SIGNAL_LENGTH = 2**26
 
 _MODE_CODES = {SCRAMBLED_HADAMARD: 0, COMPLEX_NOISELET: 1}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
@@ -90,17 +99,32 @@ def _measurement_count(n, rate):
     return int(np.floor(rate * n + 0.5))
 
 
+def check_permutation(q, n):
+    """q as an intp index, or ``ValueError`` unless it is a permutation of
+    range(n).  Shared by every ``in_order``."""
+    q = np.asarray(q)
+    if q.shape != (n,) or q.dtype.kind not in "iu":
+        raise ValueError(f"expected a length-{n} integer index, got {q.dtype} {q.shape}")
+    q = q.astype(np.intp, copy=False)
+    if q.min() < 0 or not np.all(np.bincount(q, minlength=n) == 1):
+        raise ValueError("input order must be a permutation of range(n)")
+    return q
+
+
 class MeasurementOperator:
     """Row-subsampled orthonormal fast transform, reproducible from a seed.
 
     Every pass first gathers its input through one index, ``_gather``: the
     scrambling permutation in Hadamard mode, the identity in noiselet mode,
-    composed with any input order set by :meth:`in_order`.
+    composed with any input order set by :meth:`in_order`.  Every adjoint
+    pass ends with a gather through its inverse, ``_scatter``.
     """
 
     def __init__(self, n, rate, seed, mode=SCRAMBLED_HADAMARD):
         if n < 2 or n & (n - 1):
             raise ValueError(f"signal length must be a power of two, got {n}")
+        if n > MAX_SIGNAL_LENGTH:
+            raise ValueError(f"signal length {n} exceeds the limit of {MAX_SIGNAL_LENGTH}")
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
         if mode not in _MODE_CODES:
@@ -120,31 +144,34 @@ class MeasurementOperator:
         if mode == SCRAMBLED_HADAMARD:
             # (x * signs)[perm] = x[perm] * signs[perm]: the sign flip rides
             # on the gather, in gathered order
-            self._gather = _stream(seed, _STREAM_PERM).permutation(self.n)
+            perm = _stream(seed, _STREAM_PERM).permutation(self.n)
             signs = np.where(_stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)
-            self._signs = signs[self._gather]
+            self._signs = signs[perm]
             self._scale = 1.0 / np.sqrt(self.n)
         else:
-            self._gather = np.arange(self.n)
+            perm = np.arange(self.n)
+        self._set_gather(perm)
 
     def in_order(self, q):
         """The same operator on inputs stored in another order.
 
         ``q`` is a permutation of range(n).  The result's ``forward(u)``
         equals ``self.forward(u[q])`` and its ``adjoint(y)`` is the matching
-        scatter, ``out[q] = self.adjoint(y)``, both bit for bit: the two
-        gathers compose into the one index ``q[_gather]``, and every other
-        step is unchanged.
+        relabeling, ``out[q] = self.adjoint(y)``, both bit for bit: the
+        gathers compose into ``q[_gather]``, whose inverse is the new
+        ``_scatter``, and every other step is unchanged.
         """
-        q = np.asarray(q)
-        if q.shape != (self.n,) or q.dtype.kind not in "iu":
-            raise ValueError(f"expected a length-{self.n} integer index, got {q.dtype} {q.shape}")
-        q = q.astype(np.intp, copy=False)
-        if q.min() < 0 or not np.all(np.bincount(q, minlength=self.n) == 1):
-            raise ValueError("input order must be a permutation of range(n)")
+        q = check_permutation(q, self.n)
         op = copy.copy(self)
-        op._gather = q[self._gather]
+        op._set_gather(q[self._gather])
         return op
+
+    def _set_gather(self, gather):
+        """Hold the input gather and its inverse, ``_scatter``, through
+        which the adjoint gathers its output."""
+        self._gather = gather
+        self._scatter = np.empty_like(gather)
+        self._scatter[gather] = np.arange(self.n)
 
     def _check(self, v, length):
         v = np.asarray(v, dtype=np.float64)
@@ -165,7 +192,10 @@ class MeasurementOperator:
         return v[rows] * _SQRT2
 
     def _inverse(self, z):
-        """Transpose of the full transform, scattered back through the gather."""
+        """Transpose of the full transform, in input order: one gather
+        through ``_scatter``, the inverse of the forward gather.  A gather
+        through the inverse of a permutation moves the same values as the
+        scatter ``out[_gather] = v``, so the bytes are the same."""
         if self.mode == SCRAMBLED_HADAMARD:
             v = fwht(z)
             v *= self._scale
@@ -178,9 +208,7 @@ class MeasurementOperator:
             np.subtract(u.real, u.imag, out=v[:half])
             np.add(u.real, u.imag, out=v[half:])
             v *= 0.5 * _SQRT2
-        out = np.empty(self.n)
-        out[self._gather] = v
-        return out
+        return v[self._scatter]
 
     def full_transform(self, x):
         """Apply the full n x n orthonormal transform.
@@ -347,6 +375,11 @@ def load_observation(path):
         # size the read by the file, not by the header's count
         if os.fstat(fh.fileno()).st_size - _HEADER.size < 8 * m:
             raise ValueError(f"truncated payload in {path}")
+        if n > MAX_SIGNAL_LENGTH:
+            raise ValueError(
+                f"signal length {n} = {height} x {width} exceeds the limit of "
+                f"{MAX_SIGNAL_LENGTH} in {path}"
+            )
         payload = fh.read(8 * m)
         if len(payload) != 8 * m:
             raise ValueError(f"truncated payload in {path}")

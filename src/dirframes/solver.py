@@ -4,11 +4,11 @@ Solves
 
     min_x  ||F B x||_1  +  rho * ||W D x||_{1,2}  +  i_[0,1](x)  +  G_y(Phi x)
 
-where F B is the block-frame analysis of the image, D is the masked
-forward-difference operator (the weight W keeps only block-boundary pixels,
-discouraging blocking artifacts), and the data term G_y is either the
-indicator of the l2 ball ||u - y|| <= eps or of the point {y}.  rho = 0 drops
-the difference term (Problem 1), rho = 1 keeps it (Problem 2).
+where F B is the block-frame analysis of the image, D is the forward-difference
+operator and the weight W keeps only block-boundary pixels (discouraging
+blocking artifacts), and the data term G_y is either the indicator of the l2
+ball ||u - y|| <= eps or of the point {y}.  rho = 0 drops the difference
+term (Problem 1), rho = 1 keeps it (Problem 2).
 
 The iteration is a Chambolle-Pock-style primal-dual loop (Chambolle & Pock,
 J. Math. Imaging Vis. 40, 2011; Condat, JOTA 158, 2013): a gradient step on
@@ -20,18 +20,20 @@ dual goes through the Moreau identity with the ball projection.
 The primal iterate, its gradient and the extrapolated point are kept as the
 (L, M, M) stack of blocks in raster order that ``FrameOperator.analyze_blocks``
 and ``adjoint_blocks`` read and write, so the frame needs no layout change.
-The measurement operator is relabeled once, with ``in_order``, to read that
-stack directly: its column-major vectorization and its scrambling permutation
-become one gather.  Only two conversions stay in the loop, and only for
-rho > 0: one ``from_blocks`` before ``DiffOperator.apply`` and one
-``to_blocks`` after ``DiffOperator.adjoint``.  The difference operator stays
-image-ordered because its shifts cross block boundaries: rewritten on
-(r, c, M, M) views its inner loops are only M wide, and its adjoint took
-1.2 ms against 0.57 ms on a 256 x 256 image.  The truth image is converted
-once, for the PSNR trace, and the result once, on return.  Every step is a
-permutation of the image-ordered computation or the same elementwise
-arithmetic, so the image bytes are unchanged; residuals and PSNRs are sums
-taken in another order and move only by rounding.
+The two other operators are relabeled once, with ``in_order``, to read that
+stack directly, and both are gathers only.  The measurement operator folds
+its column-major vectorization and its scrambling permutation into one
+gather, and its adjoint into one gather through the inverse index.
+``W D`` is formed only on the block ring, the one-pixel edge of every block
+where W is 1: K = L (4M - 4) pixels, 28 of 64 at M = 8.  Its apply gathers
+three ring-length vectors, and its adjoint gathers from the pair padded with
+one zero only the terms that can be nonzero, then places them with one
+n-length gather, so the l1,2 dual runs on (2, K) ring pairs and never on
+the zeros W would make.  The loop makes no layout copy: the truth image
+is converted once, for the PSNR trace, and the result once, on return.  Every
+step is a permutation of the image-ordered computation or the same
+elementwise arithmetic, so the image bytes are unchanged; residuals and
+PSNRs are sums taken in another order and move only by rounding.
 
 The three dual steps are ``dual_l1``, ``dual_l12`` and ``dual_data``.  Each
 reuses its operator's fresh output as the accumulator.
@@ -48,12 +50,14 @@ approaches ||L||^2 from below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from .imagegrid import BlockGrid, from_blocks, psnr, to_blocks
 from .sensing import Observation  # noqa: F401  (type of ProblemSpec.observation)
+from .sensing import check_permutation
 
 __all__ = [
     "prox_l1",
@@ -159,8 +163,9 @@ def dual_l1(z, a, gamma):
 
 
 def dual_l12(z, a, gamma, rho):
-    """l1,2 dual step on stacked (2, H, W) pairs: t = z + gamma * a scaled
-    pixel by pixel into the disk of radius rho, computed in ``a``."""
+    """l1,2 dual step on stacked (2, ...) pairs, such as the (2, K) ring
+    pairs of ``DiffOperator.apply``: t = z + gamma * a scaled pixel by pixel
+    into the disk of radius rho, computed in ``a``."""
     a *= gamma
     a += z
     scale = np.sqrt(a[0] ** 2 + a[1] ** 2)
@@ -185,12 +190,26 @@ def dual_data(z, a, gamma, y, eps, mode):
 
 
 class DiffOperator:
-    """Masked forward differences (replicate boundary, last difference 0).
+    """Forward differences on the block ring (replicate boundary, last difference 0).
 
-    ``apply`` returns the stacked (vertical, horizontal) difference images,
-    each multiplied by the block-boundary mask: pixels strictly inside a
-    block (1 <= m, n <= M-2 locally) are zeroed, the one-pixel ring at each
-    block edge passes through.  ``adjoint`` is the exact transpose.
+    The ring is the one-pixel edge of every M x M block, the pixels that the
+    block-boundary weight W keeps: K = L (4M - 4) of them for L blocks (all
+    pixels when M <= 2).  W is 0 strictly inside a block, so those
+    differences are never formed.
+
+    The input holds the n = H * W pixels, read in C order: as built, the
+    (H, W) image row by row; after :meth:`in_order`, any fixed order.
+    ``apply(u)`` returns the (2, K) stacked pair ``u[down] - u[self]``
+    (vertical) and ``u[right] - u[self]`` (horizontal) for the ring pixels
+    ``self`` in row-major image order, where ``down`` and ``right`` are
+    ``self`` on the last row and column, so those differences are exactly 0.
+    ``adjoint(z)`` is its exact transpose, a length-n vector in input order:
+    ``((zv[up] - zv[vself]) + zh[left]) - zh[hself]`` gathered from z
+    padded with one zero, which stands in for every pair entry that is not
+    on the ring or not formed.  That sum is taken only where it can be
+    nonzero, on the ring and its inner neighbours (39 of 64 pixels at
+    M = 8), and one more gather places it in input order.  Only gathers, so
+    any input order costs the same.
     """
 
     def __init__(self, shape, block_size):
@@ -200,35 +219,92 @@ class DiffOperator:
             raise ValueError(f"shape {shape} not a multiple of block size {M}")
         self.shape = (H, W)
         self.block_size = M
-        tile = np.ones((M, M))
-        if M > 2:
-            tile[1 : M - 1, 1 : M - 1] = 0.0
-        self.mask = np.tile(tile, (H // M, W // M))
+        self.n = H * W
+        tile = np.ones((M, M), dtype=bool)
+        tile[1 : M - 1, 1 : M - 1] = False
+        ring = np.tile(tile, (H // M, W // M))
+        self.ring_size = int(np.count_nonzero(ring))
+        pixels = np.arange(self.n).reshape(H, W)
+        self._ring = pixels[ring]
+        self._down = np.vstack((pixels[1:], pixels[-1:]))[ring]
+        self._right = np.hstack((pixels[:, 1:], pixels[:, -1:]))[ring]
+        self._gathers = self._adjoint_gathers()
 
-    def apply(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.shape:
-            raise ValueError(f"expected {self.shape} image, got {x.shape}")
-        H, W = self.shape
-        out = np.zeros((2, H, W))
-        out[0, : H - 1, :] = x[1:, :] - x[: H - 1, :]
-        out[1, :, : W - 1] = x[:, 1:] - x[:, : W - 1]
-        out *= self.mask
+    def in_order(self, q):
+        """The same operator on inputs stored in another order.
+
+        ``q`` is a permutation of range(n).  The result's ``apply(u)`` equals
+        ``self.apply(u[q])`` and its ``adjoint(z)`` is the matching
+        relabeling, ``out[q] = self.adjoint(z)``, both bit for bit: q
+        composes into the three apply indices, and the adjoint's are derived
+        from those.
+        """
+        q = check_permutation(q, self.n)
+        op = copy.copy(self)
+        op._ring, op._down, op._right = q[self._ring], q[self._down], q[self._right]
+        op._gathers = op._adjoint_gathers()
+        return op
+
+    def _adjoint_gathers(self):
+        """The adjoint's indices into z padded with a zero at 2K.
+
+        Only two kinds of pixel receive anything: ring pixels, which take all
+        four terms, and the inner pixels just below or right of the ring,
+        which take ``zv[up]`` and ``zh[left]`` and, having no pair of their
+        own, subtract the zero (x - 0 = x, so their sum is the same
+        arithmetic).  ``up``, ``vself``, ``left`` and ``hself`` are per ring
+        pixel, pointing at the zero where a difference is not formed (the
+        last row or column, or no ring pixel above or left); the two inner
+        indices are per inner pixel; ``place`` gathers those values, and a
+        zero for every other pixel, into input order.
+        """
+        K = self.ring_size
+        zero = 2 * K
+        t = np.arange(K)
+        vertical = self._down != self._ring
+        horizontal = self._right != self._ring
+        # per input position: the pair entry whose difference ends there
+        up = np.full(self.n, zero)
+        up[self._down[vertical]] = t[vertical]
+        left = np.full(self.n, zero)
+        left[self._right[horizontal]] = K + t[horizontal]
+        on_ring = np.zeros(self.n, dtype=bool)
+        on_ring[self._ring] = True
+        inner = np.flatnonzero(~on_ring & ((up != zero) | (left != zero)))
+        place = np.full(self.n, K + inner.size)
+        place[self._ring] = t
+        place[inner] = K + np.arange(inner.size)
+        return (up[self._ring], np.where(vertical, t, zero), left[self._ring],
+                np.where(horizontal, K + t, zero), up[inner], left[inner], place)
+
+    def apply(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        if u.size != self.n:
+            raise ValueError(f"expected {self.n} pixels, got {u.shape}")
+        u = u.reshape(-1)
+        at = u[self._ring]
+        out = np.empty((2, self.ring_size))
+        np.subtract(u[self._down], at, out=out[0])
+        np.subtract(u[self._right], at, out=out[1])
         return out
 
     def adjoint(self, z):
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (2, *self.shape):
-            raise ValueError(f"expected (2, {self.shape[0]}, {self.shape[1]}), got {z.shape}")
-        H, W = self.shape
-        zm = z * self.mask  # the mask broadcasts over the stacked pair
-        zv, zh = zm[0], zm[1]
-        out = np.zeros((H, W))
-        out[1:, :] += zv[: H - 1, :]
-        out[: H - 1, :] -= zv[: H - 1, :]
-        out[:, 1:] += zh[:, : W - 1]
-        out[:, : W - 1] -= zh[:, : W - 1]
-        return out
+        if z.shape != (2, self.ring_size):
+            raise ValueError(f"expected (2, {self.ring_size}), got {z.shape}")
+        K = self.ring_size
+        up, vself, left, hself, inner_up, inner_left, place = self._gathers
+        padded = np.empty(2 * K + 1)
+        padded[:-1] = z.reshape(-1)
+        padded[-1] = 0.0
+        values = np.empty(K + inner_up.size + 1)
+        ring = values[:K]
+        np.subtract(padded[up], padded[vself], out=ring)
+        ring += padded[left]
+        ring -= padded[hself]
+        np.add(padded[inner_up], padded[inner_left], out=values[K:-1])
+        values[-1] = 0.0
+        return values[place]
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +413,15 @@ def _divergence_guard(residuals, window=100, factor=10.0):
         )
 
 
-def _block_order(M, r, c):
+def _block_order(M, r, c, order="F"):
     """Index q with q[j] = position, in the raveled (r*c, M, M) block stack,
-    of the pixel at column-major index j: the image of stack positions, read
-    column-major.  ``u[q]`` is the column-major vector of the image whose
-    blocks are u."""
-    positions = np.arange(r * c * M * M).reshape(r * c, M, M)
-    return from_blocks(BlockGrid(M, r, c, positions)).ravel(order="F")
+    of the pixel at index j of the image raveled in ``order`` ("F"
+    column-major, "C" row-major).  ``u[q]`` is that vector of the image
+    whose blocks are u."""
+    i = np.arange(r * M)
+    j = np.arange(c * M)
+    positions = (i // M * c * M * M + i % M * M)[:, None] + (j // M * M * M + j % M)
+    return positions.ravel(order=order)
 
 
 def check_truth_shape(truth, shape):
@@ -400,7 +478,7 @@ def solve(problem, config=None, truth=None):
     meas = meas.in_order(_block_order(M, r, c))
 
     use_tv = rho > 0
-    diff = DiffOperator((H, W), M) if use_tv else None
+    diff = DiffOperator((H, W), M).in_order(_block_order(M, r, c, "C")) if use_tv else None
 
     # certified bound on ||L||^2; see the module docstring
     op_norm_sq = 2.0 + (8.0 if use_tv else 0.0)
@@ -412,7 +490,7 @@ def solve(problem, config=None, truth=None):
 
     x = np.clip(meas.adjoint(y).reshape(L, M, M), 0.0, 1.0)
     z1 = np.zeros((L, frame.n_out))
-    z2 = np.zeros((2, H, W)) if use_tv else None
+    z2 = np.zeros((2, diff.ring_size)) if use_tv else None
     z3 = np.zeros(obs.measurement_count)
 
     residuals = []
@@ -423,7 +501,7 @@ def solve(problem, config=None, truth=None):
         grad = frame.adjoint_blocks(z1)
         grad += meas.adjoint(z3).reshape(L, M, M)
         if use_tv:
-            grad += to_blocks(diff.adjoint(z2), M).blocks
+            grad += diff.adjoint(z2).reshape(L, M, M)
         grad *= g1
         x_new = np.subtract(x, grad, out=grad)
         np.clip(x_new, 0.0, 1.0, out=x_new)
@@ -432,7 +510,7 @@ def solve(problem, config=None, truth=None):
 
         z1 = dual_l1(z1, frame.analyze_blocks(xb), g2)
         if use_tv:
-            z2 = dual_l12(z2, diff.apply(from_blocks(BlockGrid(M, r, c, xb))), g2, rho)
+            z2 = dual_l12(z2, diff.apply(xb), g2, rho)
         z3 = dual_data(z3, meas.forward(xb.reshape(-1)), g2, y, eps, problem.fidelity_mode)
 
         res = float(np.linalg.norm(np.subtract(x_new, x, out=x)))

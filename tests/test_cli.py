@@ -329,6 +329,7 @@ _MALFORMED_MESSAGE = {
     "payload": "non-finite measurement",
     "pow2": "not a power of two",
     "huge": "truncated payload",
+    "ceiling": "exceeds the limit",
 }
 
 
@@ -337,7 +338,8 @@ def test_recover_malformed_header_exits_3(small_case, field, capsys):
     # a count 3 short of floor(rate * n + 0.5) with the payload cut to match,
     # a rate outside (0, 1], a NaN noise level, a NaN measurement, or an
     # 8 x 24 image (n = 192, not a power of two) at rate 1 with all 192 values,
-    # or a header whose count is far past the file's end
+    # a header whose count is far past the file's end, or one past the size
+    # ceiling with its whole payload
     _, obs_path, tmp = small_case
     raw = Path(obs_path).read_bytes()
     size = sensing._HEADER.size
@@ -356,6 +358,11 @@ def test_recover_malformed_header_exits_3(small_case, field, capsys):
         magic, _, _, _, _, seed, seed_noise, sigma, mode, _ = sensing._HEADER.unpack(raw[:size])
         raw = (sensing._HEADER.pack(magic, 2**16, 2**16, 2**32, 0.5, seed, seed_noise, sigma,
                                     mode, 2**31) + raw[size:])
+    elif field == "ceiling":
+        # 65536 x 65536 at rate 1e-9: m = 4, a 32-byte payload that is all there
+        magic, _, _, _, _, seed, seed_noise, sigma, mode, _ = sensing._HEADER.unpack(raw[:size])
+        raw = (sensing._HEADER.pack(magic, 2**16, 2**16, 2**32, 1e-9, seed, seed_noise, sigma,
+                                    mode, 4) + raw[size : size + 8 * 4])
     elif field == "pow2":
         magic, _, _, _, _, seed, seed_noise, sigma, mode, _ = sensing._HEADER.unpack(raw[:size])
         raw = (sensing._HEADER.pack(magic, 8, 24, 192, 1.0, seed, seed_noise, sigma, mode, 192)
@@ -368,6 +375,17 @@ def test_recover_malformed_header_exits_3(small_case, field, capsys):
     assert _run("recover", "--obs", str(bad), "--family", "rdadcf", "--size", "8",
                 "--out", str(tmp / "x.pgm")) == 3
     assert _MALFORMED_MESSAGE[field] in capsys.readouterr().err
+
+
+def test_sense_past_size_ceiling_exits_2(tmp_path, monkeypatch, capsys):
+    # the ceiling, lowered so that a 16 x 16 image is past it
+    monkeypatch.setattr(sensing, "MAX_SIGNAL_LENGTH", 128)
+    img_path = _write_image(tmp_path / "img.pgm", ig.block_mosaic(16, seed=0))
+    out = tmp_path / "obs.bin"
+    assert _run("sense", "--image", img_path, "--rate", "0.5", "--sigma", "0",
+                "--seed", "1", "--out", str(out)) == 2
+    assert "exceeds the limit of 128" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])

@@ -167,6 +167,12 @@ def test_operator_in_order_is_gather_then_operator(mode, n):
     assert op.in_order(np.arange(n)).forward(u).tobytes() == op.forward(u).tobytes()
 
 
+def test_operator_rejects_length_past_ceiling():
+    # checked before anything n-sized is built
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        sensing.MeasurementOperator(2 * sensing.MAX_SIGNAL_LENGTH, rate=1e-6, seed=1)
+
+
 def test_operator_in_order_rejects_non_permutation():
     op = sensing.MeasurementOperator(16, rate=0.5, seed=1)
     for q in (np.zeros(16, int), np.arange(8), np.arange(16.0), np.arange(1, 17),

@@ -105,13 +105,99 @@ def test_project_ball_zero_radius_and_point():
 # finite-difference operator
 
 
+class _MaskedDiff:
+    """Reference: masked forward differences on the (H, W) image
+    (replicate boundary, last difference 0).
+
+    ``apply`` returns the stacked (vertical, horizontal) difference images,
+    each multiplied by the block-boundary mask: pixels strictly inside a
+    block (1 <= m, n <= M-2 locally) are zeroed, the one-pixel ring at each
+    block edge passes through.  ``adjoint`` is the exact transpose.
+    ``sv.DiffOperator`` keeps only the ring entries of the same arithmetic.
+    """
+
+    def __init__(self, shape, block_size):
+        H, W = shape
+        M = block_size
+        self.shape = (H, W)
+        tile = np.ones((M, M))
+        if M > 2:
+            tile[1 : M - 1, 1 : M - 1] = 0.0
+        self.mask = np.tile(tile, (H // M, W // M))
+
+    def apply(self, x):
+        H, W = self.shape
+        out = np.zeros((2, H, W))
+        out[0, : H - 1, :] = x[1:, :] - x[: H - 1, :]
+        out[1, :, : W - 1] = x[:, 1:] - x[:, : W - 1]
+        out *= self.mask
+        return out
+
+    def adjoint(self, z):
+        H, W = self.shape
+        zm = z * self.mask  # the mask broadcasts over the stacked pair
+        zv, zh = zm[0], zm[1]
+        out = np.zeros((H, W))
+        out[1:, :] += zv[: H - 1, :]
+        out[: H - 1, :] -= zv[: H - 1, :]
+        out[:, 1:] += zh[:, : W - 1]
+        out[:, : W - 1] -= zh[:, : W - 1]
+        return out
+
+
+RING_SHAPES = [((4, 6), 2), ((16, 8), 4), ((24, 16), 8), ((64, 32), 8), ((32, 64), 32),
+               ((64, 64), 32)]
+
+
+@pytest.mark.parametrize("shape, M", RING_SHAPES)
+def test_ring_diff_matches_masked_oracle(shape, M):
+    # bit for bit, in image order and through in_order on the block stack:
+    # the ring operator is the masked one restricted to the ring
+    H, W = shape
+    r, c = H // M, W // M
+    d = sv.DiffOperator(shape, M)
+    oracle = _MaskedDiff(shape, M)
+    ring = oracle.mask.astype(bool)
+    assert d.ring_size == int(ring.sum())
+    rng = _rng(30 + M)
+    x = rng.standard_normal(shape)
+    z = rng.standard_normal((2, d.ring_size))
+    full = np.zeros((2, H, W))
+    full[:, ring] = z
+    want_apply = oracle.apply(x)[:, ring]
+    want_adjoint = oracle.adjoint(full)
+    assert d.apply(x).tobytes() == want_apply.tobytes()
+    assert d.adjoint(z).reshape(shape).tobytes() == want_adjoint.tobytes()
+    stacked = d.in_order(sv._block_order(M, r, c, "C"))
+    u = ig.to_blocks(x, M).blocks
+    assert stacked.apply(u).tobytes() == want_apply.tobytes()
+    back = stacked.adjoint(z).reshape(r * c, M, M)
+    assert back.tobytes() == ig.to_blocks(want_adjoint, M).blocks.tobytes()
+    # any order: out[q] = adjoint, and orders compose
+    q = rng.permutation(H * W)
+    p = rng.permutation(H * W)
+    v = x.reshape(-1)
+    relabeled = d.in_order(q)
+    assert relabeled.apply(v).tobytes() == d.apply(v[q]).tobytes()
+    assert relabeled.adjoint(z)[q].tobytes() == d.adjoint(z).tobytes()
+    assert relabeled.in_order(p).apply(v).tobytes() == d.apply(v[p][q]).tobytes()
+
+
+def test_diff_in_order_rejects_non_permutation():
+    d = sv.DiffOperator((8, 8), 4)
+    for q in (np.zeros(64, int), np.arange(32), np.arange(64.0), np.arange(1, 65),
+              np.arange(-1, 63)):
+        with pytest.raises(ValueError):
+            d.in_order(q)
+
+
 def test_diff_adjoint_identity():
     d = sv.DiffOperator((24, 16), 8)
     rng = _rng(5)
     x = rng.standard_normal((24, 16))
-    z = rng.standard_normal((2, 24, 16))
+    z = rng.standard_normal(d.apply(x).shape)
     lhs = float(np.sum(d.apply(x) * z))
-    rhs = float(np.sum(x * d.adjoint(z)))
+    rhs = float(np.sum(x.reshape(-1) * d.adjoint(z)))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -182,7 +268,7 @@ def _stacked_operator(problem):
         out = ig.from_blocks(ig.BlockGrid(M, r, c, frame.adjoint_blocks(parts[0])))
         out = out + meas.adjoint(parts[1]).reshape(H, W, order="F")
         if diff is not None:
-            out = out + diff.adjoint(parts[2])
+            out = out + diff.adjoint(parts[2]).reshape(H, W)
         return out
 
     return apply, adjoint, (H, W)
@@ -444,7 +530,7 @@ def _image_order_solve(problem, iters):
     g1 = 0.01
     g2 = 1.0 / (12.0 * g1)
     rho = problem.rho
-    diff = sv.DiffOperator((H, W), M) if rho > 0 else None
+    diff = _MaskedDiff((H, W), M) if rho > 0 else None
 
     def A1(x):
         return frame.analyze_blocks(ig.to_blocks(x, M).blocks).ravel()
@@ -505,3 +591,23 @@ def test_block_order_senses_the_image():
     q = sv._block_order(M, H // M, W // M)
     u = ig.to_blocks(img, M).blocks.reshape(-1)
     np.testing.assert_array_equal(u[q], img.reshape(-1, order="F"))
+    np.testing.assert_array_equal(u[sv._block_order(M, H // M, W // M, "C")], img.reshape(-1))
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+@pytest.mark.parametrize("iters", [1, 30])
+def test_solve_converts_layout_only_at_the_ends(monkeypatch, rho, iters):
+    # one to_blocks for the truth and one from_blocks for the result,
+    # however many iterations run
+    calls = {"to_blocks": 0, "from_blocks": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sv, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sv, name, counted)
+    img = ig.block_mosaic(32, seed=3)
+    obs = sn.sense_image(img, 0.5, 0.05, seed=10)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=rho)
+    _, rep = sv.solve(prob, sv.SolverConfig(max_iters=iters, stop_tol=0.0), truth=img)
+    assert rep.iterations == iters
+    assert calls == {"to_blocks": 1, "from_blocks": 1}
