@@ -32,14 +32,16 @@ How a frame is applied depends on its block size, and nothing else.  For
 M <= 16 ``analyze_blocks`` and ``adjoint_blocks`` are one matrix product
 with the analysis matrix whose columns are in row-major block order,
 ``blocks.reshape(L, M*M) @ A_r.T`` and ``(coeffs @ A_r).reshape(L, M, M)``.
-``A_r`` is built from ``_analyze`` on the first apply and cached on the
-frame.  For M > 16, and for ``synthesize_blocks`` at every size (the
-pyramid's left inverse is not the transpose), the separable hooks run.  At
-small M the separable path's cost is not arithmetic but numpy's batched
-M x M products over every block plus several fresh image-sized temporaries
-per call; the product allocates only its output.  At M = 32 the matrix
-would be 2048 x 1024 (16.8 MB for the two-branch families) and the product
-does 8x the separable arithmetic, so large blocks stay separable.
+``A_r`` is the analysis matrix with its columns permuted, built on the
+first apply and cached on the frame, so both come from one ``_analyze``
+pass on one basis.  For M > 16, and for ``synthesize_blocks`` at every
+size (the pyramid's left inverse is not the transpose), the separable
+hooks run.  At small M the separable path's cost is not arithmetic but
+numpy's batched M x M products over every block plus several fresh
+image-sized temporaries per call; the product allocates only its output.
+At M = 32 the matrix would be 2048 x 1024 (16.8 MB for the two-branch
+families) and the product does 8x the separable arithmetic, so large blocks
+stay separable.
 Round-robin medians in ms of one call on a 256 x 256 image (all blocks), one
 BLAS thread, shared 2-core Xeon VM, two rounds:
 
@@ -186,7 +188,9 @@ class FrameOperator:
         if self._analysis is None:
             M = self.block_size
             basis = np.eye(M * M).reshape(M * M, M, M).transpose(0, 2, 1)
-            self._analysis = self._matrix_of(basis)
+            a = np.ascontiguousarray(self._analyze(basis).T)
+            a.setflags(write=False)
+            self._analysis = a
         return self._analysis
 
     def analyze_blocks(self, blocks):
@@ -228,19 +232,15 @@ class FrameOperator:
 
     # -- internals ---------------------------------------------------------
 
-    def _matrix_of(self, basis):
-        # the operator applied to a stack of M^2 unit blocks, as a read-only
-        # n_out x M^2 matrix
-        a = np.ascontiguousarray(self._analyze(basis).T)
-        a.setflags(write=False)
-        return a
-
     def _gemm_matrix(self):
         # the analysis matrix with its columns in row-major block order, so
-        # that a C-ordered (L, M, M) stack reshapes to (L, M^2) as a view
+        # that a C-ordered (L, M, M) stack reshapes to (L, M^2) as a view:
+        # column M*m + n is the analysis column M*n + m of pixel (m, n)
         if self._gemm is None:
             M = self.block_size
-            self._gemm = self._matrix_of(np.eye(M * M).reshape(M * M, M, M))
+            columns = np.arange(M * M).reshape(M, M).T.ravel()
+            self._gemm = np.ascontiguousarray(self.analysis[:, columns])
+            self._gemm.setflags(write=False)
         return self._gemm
 
     def _as_stack(self, blocks):

@@ -64,6 +64,14 @@ def from_blocks(grid):
     )
 
 
+def _stack_positions(M, rows, cols):
+    """Image-shaped map of the block stack: entry (i, j) is the position of
+    pixel (i, j) in the raveled (rows*cols, M, M) stack, so that
+    ``blocks.reshape(-1)[_stack_positions(M, rows, cols)]`` is the image."""
+    stack = np.arange(rows * cols * M * M).reshape(rows * cols, M, M)
+    return from_blocks(BlockGrid(M, rows, cols, stack))
+
+
 def psnr(reference, estimate):
     """10 log10(1 / MSE) for unit-range images, capped at 300 dB."""
     a = _check_image(reference)

@@ -33,11 +33,13 @@ carried in gathered order, as (x * s)[p] = x[p] * s[p]), the identity in
 noiselet mode.  Every adjoint ends with one gather through the inverse
 index, ``_scatter``, which moves the same values as the scatter
 ``out[_gather] = v`` at about half its cost.  Relabeling composes q into
-the gather, ``q[_gather]``, and inverts that afresh, so a solver that keeps
-its image as a stack of blocks senses it with no layout copy.  The results
-are bit-identical to gathering first and then applying the operator, because
-each step is a permutation or the same multiply.  ``forward`` applies the
-scale (1/sqrt(n), or sqrt(2) for noiselets) to the m kept rows only.
+the gather, ``q[_gather]``, and inverts that afresh.  The solver relabels
+its operator once, by the block-stack positions of the column-major image
+vector, so it senses its stack of blocks with no layout copy; it is the
+only operator the solver relabels.  The results are bit-identical to
+gathering first and then applying the operator, because each step is a
+permutation or the same multiply.  ``forward`` applies the scale
+(1/sqrt(n), or sqrt(2) for noiselets) to the m kept rows only.
 
 Signal lengths are capped at ``MAX_SIGNAL_LENGTH`` = 2^26 (an 8192 x 8192
 image), where the two held indices take 1 GiB: a header may not ask for more.
@@ -99,18 +101,6 @@ def _measurement_count(n, rate):
     return int(np.floor(rate * n + 0.5))
 
 
-def check_permutation(q, n):
-    """q as an intp index, or ``ValueError`` unless it is a permutation of
-    range(n).  Shared by every ``in_order``."""
-    q = np.asarray(q)
-    if q.shape != (n,) or q.dtype.kind not in "iu":
-        raise ValueError(f"expected a length-{n} integer index, got {q.dtype} {q.shape}")
-    q = q.astype(np.intp, copy=False)
-    if q.min() < 0 or not np.all(np.bincount(q, minlength=n) == 1):
-        raise ValueError("input order must be a permutation of range(n)")
-    return q
-
-
 class MeasurementOperator:
     """Row-subsampled orthonormal fast transform, reproducible from a seed.
 
@@ -161,7 +151,12 @@ class MeasurementOperator:
         gathers compose into ``q[_gather]``, whose inverse is the new
         ``_scatter``, and every other step is unchanged.
         """
-        q = check_permutation(q, self.n)
+        q = np.asarray(q)
+        if q.shape != (self.n,) or q.dtype.kind not in "iu":
+            raise ValueError(f"expected a length-{self.n} integer index, got {q.dtype} {q.shape}")
+        q = q.astype(np.intp, copy=False)
+        if q.min() < 0 or not np.all(np.bincount(q, minlength=self.n) == 1):
+            raise ValueError("input order must be a permutation of range(n)")
         op = copy.copy(self)
         op._set_gather(q[self._gather])
         return op

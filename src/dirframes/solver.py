@@ -20,18 +20,17 @@ dual goes through the Moreau identity with the ball projection.
 The primal iterate, its gradient and the extrapolated point are kept as the
 (L, M, M) stack of blocks in raster order that ``FrameOperator.analyze_blocks``
 and ``adjoint_blocks`` read and write, so the frame needs no layout change.
-The two other operators are relabeled once, with ``in_order``, to read that
-stack directly, and both are gathers only.  The measurement operator folds
-its column-major vectorization and its scrambling permutation into one
-gather, and its adjoint into one gather through the inverse index.
-``W D`` is formed only on the block ring, the one-pixel edge of every block
-where W is 1: K = L (4M - 4) pixels, 28 of 64 at M = 8.  Its apply gathers
-three ring-length vectors, and its adjoint gathers from the pair padded with
-one zero only the terms that can be nonzero, then places them with one
-n-length gather, so the l1,2 dual runs on (2, K) ring pairs and never on
-the zeros W would make.  The loop makes no layout copy: the truth image
-is converted once, for the PSNR trace, and the result once, on return.  Every
-step is a permutation of the image-ordered computation or the same
+The two other operators are built once, by ``_block_operators``, from one
+map of stack positions, and both are gathers only.  Sensing reads the
+column-major image vector, so it alone is relabeled, with ``in_order``: its
+vectorization and scrambling permutation fold into one gather, and its
+adjoint into one gather through the inverse index.  ``DiffOperator`` reads
+the stack natively and forms ``W D`` only on the block ring, where W is 1
+(K = L (4M - 4) pixels, 28 of 64 at M = 8), so the l1,2 dual runs on
+(2, K) ring pairs and never on the zeros W would make.  The loop makes no
+layout copy: the truth image is converted once, for the PSNR trace, and the
+result once, on return; ``objective_terms`` evaluates the same operators.
+Every step is a permutation of the image-ordered computation or the same
 elementwise arithmetic, so the image bytes are unchanged; residuals and
 PSNRs are sums taken in another order and move only by rounding.
 
@@ -50,14 +49,12 @@ approaches ||L||^2 from below.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imagegrid import BlockGrid, from_blocks, psnr, to_blocks
+from .imagegrid import BlockGrid, _stack_positions, from_blocks, psnr, to_blocks
 from .sensing import Observation  # noqa: F401  (type of ProblemSpec.observation)
-from .sensing import check_permutation
 
 __all__ = [
     "prox_l1",
@@ -197,19 +194,19 @@ class DiffOperator:
     pixels when M <= 2).  W is 0 strictly inside a block, so those
     differences are never formed.
 
-    The input holds the n = H * W pixels, read in C order: as built, the
-    (H, W) image row by row; after :meth:`in_order`, any fixed order.
-    ``apply(u)`` returns the (2, K) stacked pair ``u[down] - u[self]``
-    (vertical) and ``u[right] - u[self]`` (horizontal) for the ring pixels
-    ``self`` in row-major image order, where ``down`` and ``right`` are
-    ``self`` on the last row and column, so those differences are exactly 0.
-    ``adjoint(z)`` is its exact transpose, a length-n vector in input order:
-    ``((zv[up] - zv[vself]) + zh[left]) - zh[hself]`` gathered from z
-    padded with one zero, which stands in for every pair entry that is not
-    on the ring or not formed.  That sum is taken only where it can be
-    nonzero, on the ring and its inner neighbours (39 of 64 pixels at
-    M = 8), and one more gather places it in input order.  Only gathers, so
-    any input order costs the same.
+    The operator reads the (L, M, M) block stack of an (H, W) image, as the
+    frame does, and nothing else: its indices are built once from the stack
+    positions of the image's pixels.  ``apply(u)`` returns the (2, K)
+    stacked pair ``u[down] - u[self]`` (vertical) and ``u[right] - u[self]``
+    (horizontal) for the ring pixels ``self`` in row-major image order, where
+    ``down`` and ``right`` are ``self`` on the last row and column, so those
+    differences are exactly 0.  ``adjoint(z)`` is its exact transpose, an
+    (L, M, M) stack: ``((zv[up] - zv[vself]) + zh[left]) - zh[hself]``
+    gathered from z padded with one zero, which stands in for every pair
+    entry that is not on the ring or not formed.  That sum is taken only
+    where it can be nonzero, on the ring and its inner neighbours (39 of 64
+    pixels at M = 8), and one more gather places it in the stack.  Both
+    directions are gathers only.
     """
 
     def __init__(self, shape, block_size):
@@ -220,30 +217,16 @@ class DiffOperator:
         self.shape = (H, W)
         self.block_size = M
         self.n = H * W
+        self.stack_shape = (self.n // (M * M), M, M)
         tile = np.ones((M, M), dtype=bool)
         tile[1 : M - 1, 1 : M - 1] = False
         ring = np.tile(tile, (H // M, W // M))
         self.ring_size = int(np.count_nonzero(ring))
-        pixels = np.arange(self.n).reshape(H, W)
+        pixels = _stack_positions(M, H // M, W // M)
         self._ring = pixels[ring]
         self._down = np.vstack((pixels[1:], pixels[-1:]))[ring]
         self._right = np.hstack((pixels[:, 1:], pixels[:, -1:]))[ring]
         self._gathers = self._adjoint_gathers()
-
-    def in_order(self, q):
-        """The same operator on inputs stored in another order.
-
-        ``q`` is a permutation of range(n).  The result's ``apply(u)`` equals
-        ``self.apply(u[q])`` and its ``adjoint(z)`` is the matching
-        relabeling, ``out[q] = self.adjoint(z)``, both bit for bit: q
-        composes into the three apply indices, and the adjoint's are derived
-        from those.
-        """
-        q = check_permutation(q, self.n)
-        op = copy.copy(self)
-        op._ring, op._down, op._right = q[self._ring], q[self._down], q[self._right]
-        op._gathers = op._adjoint_gathers()
-        return op
 
     def _adjoint_gathers(self):
         """The adjoint's indices into z padded with a zero at 2K.
@@ -256,14 +239,14 @@ class DiffOperator:
         pixel, pointing at the zero where a difference is not formed (the
         last row or column, or no ring pixel above or left); the two inner
         indices are per inner pixel; ``place`` gathers those values, and a
-        zero for every other pixel, into input order.
+        zero for every other pixel, into the stack.
         """
         K = self.ring_size
         zero = 2 * K
         t = np.arange(K)
         vertical = self._down != self._ring
         horizontal = self._right != self._ring
-        # per input position: the pair entry whose difference ends there
+        # per stack position: the pair entry whose difference ends there
         up = np.full(self.n, zero)
         up[self._down[vertical]] = t[vertical]
         left = np.full(self.n, zero)
@@ -279,8 +262,8 @@ class DiffOperator:
 
     def apply(self, u):
         u = np.asarray(u, dtype=np.float64)
-        if u.size != self.n:
-            raise ValueError(f"expected {self.n} pixels, got {u.shape}")
+        if u.shape != self.stack_shape:
+            raise ValueError(f"expected the {self.stack_shape} block stack, got {u.shape}")
         u = u.reshape(-1)
         at = u[self._ring]
         out = np.empty((2, self.ring_size))
@@ -304,7 +287,7 @@ class DiffOperator:
         ring -= padded[hself]
         np.add(padded[inner_up], padded[inner_left], out=values[K:-1])
         values[-1] = 0.0
-        return values[place]
+        return values[place].reshape(self.stack_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +396,6 @@ def _divergence_guard(residuals, window=100, factor=10.0):
         )
 
 
-def _block_order(M, r, c, order="F"):
-    """Index q with q[j] = position, in the raveled (r*c, M, M) block stack,
-    of the pixel at index j of the image raveled in ``order`` ("F"
-    column-major, "C" row-major).  ``u[q]`` is that vector of the image
-    whose blocks are u."""
-    i = np.arange(r * M)
-    j = np.arange(c * M)
-    positions = (i // M * c * M * M + i % M * M)[:, None] + (j // M * M * M + j % M)
-    return positions.ravel(order=order)
-
-
 def check_truth_shape(truth, shape):
     """The reference image as float64, or ``ValueError`` naming both shapes
     when it does not have the observation's ``shape``."""
@@ -435,14 +407,29 @@ def check_truth_shape(truth, shape):
     return truth
 
 
+def _block_operators(problem):
+    """The measurement and seam-difference operators of a problem on its
+    (L, M, M) block stack, both from the map of stack positions; the
+    difference is None when rho = 0."""
+    obs = problem.observation
+    M = problem.frame.block_size
+    H, W = obs.height, obs.width
+    meas = problem.measurement if problem.measurement is not None else obs.operator()
+    meas = meas.in_order(_stack_positions(M, H // M, W // M).ravel(order="F"))
+    diff = DiffOperator((H, W), M) if problem.rho > 0 else None
+    return meas, diff
+
+
 def solve(problem, config=None, truth=None):
     """Run the primal-dual loop; returns (image, ConvergenceReport).
 
     The primal iterate starts from the clipped pseudo-inverse estimate and
     dual variables start at zero; with fixed seeds the run is reproducible
     bit-for-bit.  ``truth`` (optional reference image of the observation's
-    shape, else ``ValueError``) enables the PSNR trace.  Raises :class:`DivergenceError` if the residual is not finite or
-    grows 10x over a 100-iteration window.
+    shape, else ``ValueError``) enables the PSNR trace.  Raises
+    ``ValueError`` on a parameter outside its domain, and
+    :class:`DivergenceError` if the residual is not finite or grows 10x over
+    a 100-iteration window.
     """
     if config is None:
         config = SolverConfig()
@@ -455,17 +442,24 @@ def solve(problem, config=None, truth=None):
     if problem.fidelity_mode not in (FIDELITY_L2BALL, FIDELITY_EQUALITY):
         raise ValueError(f"unknown fidelity mode {problem.fidelity_mode!r}")
     rho = float(problem.rho)
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    meas = problem.measurement if problem.measurement is not None else obs.operator()
+    if not (np.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be a finite number >= 0, got {rho}")
     y = np.asarray(obs.y, dtype=np.float64)
     eps = problem.resolved_epsilon()
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be a finite number >= 0, got {eps}")
     g1 = float(config.gamma1)
     g2 = float(config.resolved_gamma2())
+    if not (np.isfinite(g1) and np.isfinite(g2)):
+        raise ValueError(f"step sizes must be finite, got gamma1={g1}, gamma2={g2}")
     if g1 <= 0 or g2 <= 0:
         raise ValueError("step sizes must be positive")
+    stop_tol = float(config.stop_tol)
+    if not (np.isfinite(stop_tol) and stop_tol >= 0):
+        raise ValueError(f"stop_tol must be a finite number >= 0, got {stop_tol}")
+    max_iters = config.max_iters
+    if not (float(max_iters).is_integer() and max_iters >= 1):
+        raise ValueError(f"max_iters must be a whole number >= 1, got {max_iters!r}")
 
     r, c = H // M, W // M
     L = r * c
@@ -474,13 +468,8 @@ def solve(problem, config=None, truth=None):
         # psnr is a mean over pixels, so it reads the truth in block order too
         truth = to_blocks(truth, M).blocks.reshape(L, M * M)
 
-    # the iterate is the (L, M, M) block stack that the frame reads and writes
-    meas = meas.in_order(_block_order(M, r, c))
-
-    use_tv = rho > 0
-    diff = DiffOperator((H, W), M).in_order(_block_order(M, r, c, "C")) if use_tv else None
-
     # certified bound on ||L||^2; see the module docstring
+    use_tv = rho > 0
     op_norm_sq = 2.0 + (8.0 if use_tv else 0.0)
     if g1 * g2 * op_norm_sq > 1.0 + 1e-9:
         raise ValueError(
@@ -488,6 +477,8 @@ def solve(problem, config=None, truth=None):
             f"(got {g1 * g2 * op_norm_sq:.6f})"
         )
 
+    # the iterate is the (L, M, M) block stack that the frame reads and writes
+    meas, diff = _block_operators(problem)
     x = np.clip(meas.adjoint(y).reshape(L, M, M), 0.0, 1.0)
     z1 = np.zeros((L, frame.n_out))
     z2 = np.zeros((2, diff.ring_size)) if use_tv else None
@@ -497,11 +488,11 @@ def solve(problem, config=None, truth=None):
     psnr_history = [] if truth is not None else None
     stop_reason = "max-iters"
 
-    for it in range(int(config.max_iters)):
+    for it in range(int(max_iters)):
         grad = frame.adjoint_blocks(z1)
         grad += meas.adjoint(z3).reshape(L, M, M)
         if use_tv:
-            grad += diff.adjoint(z2).reshape(L, M, M)
+            grad += diff.adjoint(z2)
         grad *= g1
         x_new = np.subtract(x, grad, out=grad)
         np.clip(x_new, 0.0, 1.0, out=x_new)
@@ -520,7 +511,7 @@ def solve(problem, config=None, truth=None):
         x = x_new
         # the first primal step is a no-op (duals start at zero), so the
         # increment test only counts from the second iteration onwards
-        if it > 0 and res <= config.stop_tol:
+        if it > 0 and res <= stop_tol:
             stop_reason = "tolerance"
             break
         _divergence_guard(residuals)
@@ -545,22 +536,22 @@ def objective_terms(problem, x):
     Returns a dict with the l1 analysis term, the weighted difference term,
     the data-fidelity gap max(0, ||Phi x - y|| - eps) (distance past the
     constraint for the ball mode; plain residual norm for equality mode) and
-    the box violation.
+    the box violation, all through the operators ``solve`` runs.  An image
+    not of the observation's shape raises ``ValueError``.
     """
     obs = problem.observation
     frame = problem.frame
-    M = frame.block_size
-    H, W = obs.height, obs.width
-    x = np.asarray(x, dtype=np.float64)
-    coeffs = frame.analyze_blocks(to_blocks(x, M).blocks).ravel()
+    x = check_truth_shape(x, (obs.height, obs.width))
+    blocks = to_blocks(x, frame.block_size).blocks
+    meas, diff = _block_operators(problem)
+    coeffs = frame.analyze_blocks(blocks).ravel()
     l1 = float(np.abs(coeffs).sum())
     rho = float(problem.rho)
     l12 = 0.0
-    if rho > 0:
-        z = DiffOperator((H, W), M).apply(x)
+    if diff is not None:
+        z = diff.apply(blocks)
         l12 = float(np.sqrt(z[0] ** 2 + z[1] ** 2).sum())
-    meas = problem.measurement if problem.measurement is not None else obs.operator()
-    resid = float(np.linalg.norm(meas.forward(x.reshape(-1, order="F")) - obs.y))
+    resid = float(np.linalg.norm(meas.forward(blocks.reshape(-1)) - obs.y))
     if problem.fidelity_mode == FIDELITY_L2BALL:
         gap = max(0.0, resid - problem.resolved_epsilon())
     else:

@@ -211,10 +211,10 @@ def test_criterion_7_solver_blocks():
     worst_adj = max(worst_adj, abs(float(np.sum(op.analyze_blocks(x) * z))
                                    - float(np.sum(x * op.adjoint_blocks(z)))))
     d = sv.DiffOperator((16, 16), 8)
-    xi = rng.standard_normal((16, 16))
+    xi = ig.to_blocks(rng.standard_normal((16, 16)), 8).blocks
     zi = rng.standard_normal(d.apply(xi).shape)
     worst_adj = max(worst_adj, abs(float(np.sum(d.apply(xi) * zi))
-                                   - float(np.sum(xi.reshape(-1) * d.adjoint(zi)))))
+                                   - float(np.sum(xi * d.adjoint(zi)))))
     mop = sn.MeasurementOperator(256, 0.5, seed=1)
     xv = rng.standard_normal(256)
     yv = rng.standard_normal(mop.m)

@@ -289,6 +289,19 @@ def test_recover_bad_config_key_exits_2(small_case, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [{"max_iters": -5}, {"stop_tol": -1}])
+def test_recover_out_of_domain_config_exits_2(small_case, config, capsys):
+    # finite numbers that the solver refuses, before any iteration
+    _, obs_path, tmp = small_case
+    cfg = tmp / "domain.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp / "x.pgm"
+    assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
+                "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: {next(iter(config))}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_oracle_without_truth_exits_2(small_case, capsys):
     _, obs_path, tmp = small_case
     assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",

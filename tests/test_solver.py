@@ -151,10 +151,9 @@ RING_SHAPES = [((4, 6), 2), ((16, 8), 4), ((24, 16), 8), ((64, 32), 8), ((32, 64
 
 @pytest.mark.parametrize("shape, M", RING_SHAPES)
 def test_ring_diff_matches_masked_oracle(shape, M):
-    # bit for bit, in image order and through in_order on the block stack:
-    # the ring operator is the masked one restricted to the ring
+    # bit for bit on the block stack: the ring operator is the masked one
+    # restricted to the ring
     H, W = shape
-    r, c = H // M, W // M
     d = sv.DiffOperator(shape, M)
     oracle = _MaskedDiff(shape, M)
     ring = oracle.mask.astype(bool)
@@ -166,44 +165,34 @@ def test_ring_diff_matches_masked_oracle(shape, M):
     full[:, ring] = z
     want_apply = oracle.apply(x)[:, ring]
     want_adjoint = oracle.adjoint(full)
-    assert d.apply(x).tobytes() == want_apply.tobytes()
-    assert d.adjoint(z).reshape(shape).tobytes() == want_adjoint.tobytes()
-    stacked = d.in_order(sv._block_order(M, r, c, "C"))
     u = ig.to_blocks(x, M).blocks
-    assert stacked.apply(u).tobytes() == want_apply.tobytes()
-    back = stacked.adjoint(z).reshape(r * c, M, M)
-    assert back.tobytes() == ig.to_blocks(want_adjoint, M).blocks.tobytes()
-    # any order: out[q] = adjoint, and orders compose
-    q = rng.permutation(H * W)
-    p = rng.permutation(H * W)
-    v = x.reshape(-1)
-    relabeled = d.in_order(q)
-    assert relabeled.apply(v).tobytes() == d.apply(v[q]).tobytes()
-    assert relabeled.adjoint(z)[q].tobytes() == d.adjoint(z).tobytes()
-    assert relabeled.in_order(p).apply(v).tobytes() == d.apply(v[p][q]).tobytes()
+    assert d.apply(u).tobytes() == want_apply.tobytes()
+    assert d.adjoint(z).tobytes() == ig.to_blocks(want_adjoint, M).blocks.tobytes()
 
 
-def test_diff_in_order_rejects_non_permutation():
-    d = sv.DiffOperator((8, 8), 4)
-    for q in (np.zeros(64, int), np.arange(32), np.arange(64.0), np.arange(1, 65),
-              np.arange(-1, 63)):
-        with pytest.raises(ValueError):
-            d.in_order(q)
+def test_diff_reads_only_the_block_stack():
+    d = sv.DiffOperator((16, 32), 8)
+    assert d.stack_shape == (8, 8, 8)
+    for wrong in (np.zeros((16, 32)), np.zeros(16 * 32), np.zeros((8, 64))):
+        with pytest.raises(ValueError, match="block stack"):
+            d.apply(wrong)
+    assert d.adjoint(np.zeros((2, d.ring_size))).shape == (8, 8, 8)
 
 
 def test_diff_adjoint_identity():
     d = sv.DiffOperator((24, 16), 8)
     rng = _rng(5)
-    x = rng.standard_normal((24, 16))
+    x = ig.to_blocks(rng.standard_normal((24, 16)), 8).blocks
     z = rng.standard_normal(d.apply(x).shape)
     lhs = float(np.sum(d.apply(x) * z))
-    rhs = float(np.sum(x.reshape(-1) * d.adjoint(z)))
+    rhs = float(np.sum(x * d.adjoint(z)))
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_diff_constant_image_maps_to_zero():
     d = sv.DiffOperator((16, 16), 8)
-    np.testing.assert_allclose(d.apply(np.full((16, 16), 0.3)), 0.0, atol=1e-15)
+    u = ig.to_blocks(np.full((16, 16), 0.3), 8).blocks
+    np.testing.assert_allclose(d.apply(u), 0.0, atol=1e-15)
 
 
 def test_diff_sees_only_block_seams():
@@ -212,17 +201,17 @@ def test_diff_sees_only_block_seams():
     d = sv.DiffOperator((16, 16), 8)
     inside = np.zeros((16, 16))
     inside[3:5, 2:6] = 1.0          # fully interior to the top-left block
-    np.testing.assert_allclose(d.apply(inside), 0.0, atol=1e-15)
+    np.testing.assert_allclose(d.apply(ig.to_blocks(inside, 8).blocks), 0.0, atol=1e-15)
     tiles = np.zeros((16, 16))
     tiles[:8, :] = 1.0              # seam between block rows
-    out = d.apply(tiles)
+    out = d.apply(ig.to_blocks(tiles, 8).blocks)
     assert np.abs(out).sum() > 0
 
 
 def test_diff_detects_mosaic_seams():
     img = ig.block_mosaic(32, seed=1)
     d = sv.DiffOperator((32, 32), 8)
-    assert np.abs(d.apply(img)).sum() > 0.01
+    assert np.abs(d.apply(ig.to_blocks(img, 8).blocks)).sum() > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +250,14 @@ def _stacked_operator(problem):
             meas.forward(x.reshape(-1, order="F")),
         ]
         if diff is not None:
-            parts.append(diff.apply(x))
+            parts.append(diff.apply(ig.to_blocks(x, M).blocks))
         return parts
 
     def adjoint(parts):
         out = ig.from_blocks(ig.BlockGrid(M, r, c, frame.adjoint_blocks(parts[0])))
         out = out + meas.adjoint(parts[1]).reshape(H, W, order="F")
         if diff is not None:
-            out = out + diff.adjoint(parts[2]).reshape(H, W)
+            out = out + ig.from_blocks(ig.BlockGrid(M, r, c, diff.adjoint(parts[2])))
         return out
 
     return apply, adjoint, (H, W)
@@ -332,6 +321,42 @@ def test_solve_rejects_bad_step_sizes():
     prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=1.0)
     with pytest.raises(ValueError):
         sv.solve(prob, sv.SolverConfig(gamma1=1.0, gamma2=1.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iters", -5, "max_iters"), ("max_iters", 0, "max_iters"),
+    ("max_iters", 2.7, "max_iters"), ("max_iters", NAN, "max_iters"),
+    ("max_iters", INF, "max_iters"), ("stop_tol", -1.0, "stop_tol"),
+    ("stop_tol", NAN, "stop_tol"), ("stop_tol", INF, "stop_tol"),
+    ("gamma1", NAN, "step sizes"), ("gamma1", INF, "step sizes"),
+    ("gamma2", NAN, "step sizes"), ("gamma2", INF, "step sizes"),
+])
+def test_solve_rejects_bad_config(field, value, message):
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
+    with pytest.raises(ValueError, match=message):
+        sv.solve(prob, sv.SolverConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("rho", [-1.0, NAN, INF])
+def test_solve_rejects_bad_rho(rho):
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=rho)
+    with pytest.raises(ValueError, match="rho"):
+        sv.solve(prob)
+
+
+def test_solve_accepts_whole_float_iteration_count():
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
+    _, rep = sv.solve(prob, sv.SolverConfig(max_iters=3.0, stop_tol=0.0))
+    assert rep.iterations == 3
 
 
 @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
@@ -442,6 +467,14 @@ def test_objective_terms():
     # noiseless full sampling: the truth is feasible
     assert terms["fidelity_gap"] <= 1e-10
     assert terms["objective"] >= terms["l1"]
+
+
+def test_objective_terms_rejects_image_of_wrong_shape():
+    # 16 x 64 has the observation's pixel count but not its shape
+    obs = sn.sense_image(ig.block_mosaic(32, seed=1), 0.5, 0.0, seed=9)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
+    with pytest.raises(ValueError, match=r"\(16, 64\).*\(32, 32\)"):
+        sv.objective_terms(prob, np.zeros((16, 64)))
 
 
 def test_divergence_guard():
@@ -585,13 +618,37 @@ def test_block_major_loop_matches_image_order(family, M, rho, mode, shape):
 
 
 def test_block_order_senses_the_image():
-    # u[q] is the column-major vector of the image whose blocks are u
+    # u[positions] is the image whose blocks are u; raveled column by column,
+    # it is the column-major vector that sensing reads
     H, W, M = 16, 32, 4
     img = np.arange(H * W, dtype=float).reshape(H, W)
-    q = sv._block_order(M, H // M, W // M)
+    positions = ig._stack_positions(M, H // M, W // M)
     u = ig.to_blocks(img, M).blocks.reshape(-1)
-    np.testing.assert_array_equal(u[q], img.reshape(-1, order="F"))
-    np.testing.assert_array_equal(u[sv._block_order(M, H // M, W // M, "C")], img.reshape(-1))
+    np.testing.assert_array_equal(u[positions], img)
+    np.testing.assert_array_equal(u[positions.ravel(order="F")], img.reshape(-1, order="F"))
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_solve_derives_ring_indices_once(monkeypatch, rho):
+    # a rho > 0 solve builds its seam operator on the block stack once, and
+    # derives the adjoint's gathers once, with no relabeling afterwards
+    calls = {"init": 0, "gathers": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sv.DiffOperator, "__init__", counted(sv.DiffOperator.__init__, "init"))
+    monkeypatch.setattr(sv.DiffOperator, "_adjoint_gathers",
+                        counted(sv.DiffOperator._adjoint_gathers, "gathers"))
+    img = ig.block_mosaic(32, seed=3)
+    obs = sn.sense_image(img, 0.5, 0.05, seed=10)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=rho)
+    _, rep = sv.solve(prob, sv.SolverConfig(max_iters=5, stop_tol=0.0))
+    assert rep.iterations == 5
+    assert calls == {"init": int(rho > 0), "gathers": int(rho > 0)}
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
