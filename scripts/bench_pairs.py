@@ -29,6 +29,14 @@ size from noise, so the metric is ``unresolved`` unless every change run
 beats every parent run.  One line per metric is printed, flagged
 ``unresolved`` or ``WORSE`` when it is.
 
+Each run also records what it cost the machine: its user and system CPU
+seconds and its minor page faults, as the deltas of
+``resource.getrusage(RUSAGE_CHILDREN)`` across the run.  They count the
+whole run, its cold set-up probes (the run's own children) included, and
+they are totals over the run's fixed length, not per iteration.  They are
+printed on the pair line, and each side holds them per pair under
+``rusage`` with their medians.
+
 The record is written after every pair, so a series cut short keeps the
 pairs it finished.  A run that exits with an error or prints no result is
 listed under ``failed_runs`` (pair, side, error and the end of its stderr),
@@ -39,6 +47,7 @@ The record also holds ``OPENBLAS_NUM_THREADS`` as the benchmark sets it.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,14 +64,19 @@ def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(cmd, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"user_s": after.ru_utime - before.ru_utime,
+             "sys_s": after.ru_stime - before.ru_stime,
+             "minflt": after.ru_minflt - before.ru_minflt}
     lines = done.stdout.splitlines()
     if done.returncode != 0:
         error = f"exit code {done.returncode}"
     else:
         try:
             env = json.loads(next(line[4:] for line in lines if line.startswith("env ")))
-            return env, json.loads(lines[-1])
+            return env, {**json.loads(lines[-1]), "rusage": usage}
         except (ValueError, StopIteration, IndexError) as exc:
             error = f"no result in its output ({type(exc).__name__})"
     return None, {"error": error, "stderr": done.stderr[-2000:]}
@@ -78,6 +92,10 @@ def _summary(runs):
             if len(values) > 1:
                 q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
                 side[name]["quartiles"] = [q1, q3]
+    side["rusage"] = {}
+    for name in runs[0]["rusage"]:
+        values = [r["rusage"][name] for r in runs]
+        side["rusage"][name] = {"per_pair": values, "median": statistics.median(values)}
     return side
 
 
@@ -171,8 +189,10 @@ def main(argv=None):
                 break
             record["OPENBLAS_NUM_THREADS"] = env["threads"]["OPENBLAS_NUM_THREADS"]
             pair[side] = result
+            usage = result["rusage"]
             print(f"pair {i} {side}: iter_ms {result['metrics']['iter_ms']['value']:.3f} "
-                  f"failed {result['failed']}", flush=True)
+                  f"failed {result['failed']} user {usage['user_s']:.2f} s "
+                  f"sys {usage['sys_s']:.2f} s minflt {usage['minflt']}", flush=True)
         if len(pair) == len(SIDES):
             for side in SIDES:
                 runs[side].append(pair[side])

@@ -4,6 +4,14 @@ All three are Kronecker powers of a 2x2 stage, applied by the one numpy
 kernel in ``_kernels_py``.  ``backend_name`` and ``HAVE_COMPILED`` stay for
 callers that record which kernel made a result; there is only this one, so
 they always read ``"python"`` and ``False``.
+
+Each transform takes an optional ``scratch`` vector of the input's length
+and dtype.  With one, the scratch and the input are both overwritten (or
+the input's contiguous cast to the transform's dtype, when it is not one
+already) and the result is whichever of the two holds it, so a caller with
+held buffers makes no array per call.  Without one,
+the input is copied and a scratch allocated, and the call goes down the same
+path: the result is fresh and the input untouched.
 """
 
 import numpy as np
@@ -24,24 +32,33 @@ def backend_name():
     return "python"
 
 
-def _as_pow2(x, dtype):
-    x = np.asarray(x, dtype=dtype)
-    n = x.shape[0]
+def _apply(x, dtype, powers, scratch):
+    """``butterfly`` on x cast to ``dtype``, in ``scratch`` or in a fresh pair."""
+    x = np.array(x, dtype=dtype) if scratch is None else np.ascontiguousarray(x, dtype=dtype)
+    n = x.shape[0] if x.ndim == 1 else 0
     if n == 0 or n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    return x
+        raise ValueError(f"length must be a power of two, got shape {x.shape}")
+    if scratch is None:
+        scratch = np.empty_like(x)
+    elif (scratch.shape != x.shape or scratch.dtype != dtype
+          or not scratch.flags.c_contiguous or np.may_share_memory(x, scratch)):
+        raise ValueError(
+            f"scratch must be a contiguous {np.dtype(dtype)} vector of shape {x.shape} "
+            f"apart from the input, got {scratch.dtype} {scratch.shape}"
+        )
+    return butterfly(x, powers, scratch)
 
 
-def fwht(x):
+def fwht(x, scratch=None):
     """Unnormalized Walsh-Hadamard transform of a power-of-two vector."""
-    return butterfly(_as_pow2(x, np.float64), _HADAMARD)
+    return _apply(x, np.float64, _HADAMARD, scratch)
 
 
-def noiselet(x):
+def noiselet(x, scratch=None):
     """Unitary Coifman-butterfly transform (complex output)."""
-    return butterfly(_as_pow2(x, np.complex128), _NOISELET)
+    return _apply(x, np.complex128, _NOISELET, scratch)
 
 
-def noiselet_adjoint(x):
+def noiselet_adjoint(x, scratch=None):
     """Conjugate transpose of :func:`noiselet`."""
-    return butterfly(_as_pow2(x, np.complex128), _NOISELET_ADJOINT)
+    return _apply(x, np.complex128, _NOISELET_ADJOINT, scratch)

@@ -7,6 +7,7 @@ concatenated in raster order (left-to-right, top-to-bottom).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,19 @@ def from_blocks(grid):
     )
 
 
+@functools.lru_cache(maxsize=4)
 def _stack_positions(M, rows, cols):
     """Image-shaped map of the block stack: entry (i, j) is the position of
     pixel (i, j) in the raveled (rows*cols, M, M) stack, so that
-    ``blocks.reshape(-1)[_stack_positions(M, rows, cols)]`` is the image."""
+    ``blocks.reshape(-1)[_stack_positions(M, rows, cols)]`` is the image.
+
+    Memoized for the last few layouts, since a solve and the scoring of
+    its result ask for the same one several times, and read-only, since
+    every caller gets the same array."""
     stack = np.arange(rows * cols * M * M).reshape(rows * cols, M, M)
-    return from_blocks(BlockGrid(M, rows, cols, stack))
+    positions = from_blocks(BlockGrid(M, rows, cols, stack))
+    positions.setflags(write=False)
+    return positions
 
 
 def psnr(reference, estimate):

@@ -17,7 +17,9 @@ N_n = W ⊗ N_h with h = n/2.  Split x into halves x0 = x[:h], x1 = x[h:]:
 
     N_n x = [N_h (a x0 + b x1);  N_h (b x0 + a x1)],
 
-so the kept first half is N_h (a x0 + b x1).  The adjoint is
+so the kept first half is N_h (a x0 + b x1).  Its input is formed with
+real arithmetic as (x0 + x1)/2 + i (x1 - x0)/2, the same bits as the
+complex products, since halving a normal number is exact.  The adjoint is
 N_n^H = W^H ⊗ N_h^H with W^H = [[b, a], [a, b]] (conj(a) = b), so on an
 input whose second half is zero, N_n^H [w; 0] = [b u; a u] with
 u = N_h^H w.  Its real part is
@@ -41,8 +43,18 @@ gathering first and then applying the operator, because each step is a
 permutation or the same multiply.  ``forward`` applies the scale
 (1/sqrt(n), or sqrt(2) for noiselets) to the m kept rows only.
 
+Each operator holds one (2, n) float64 workspace, and every pass runs in
+it: the gather writes into one row, the butterfly goes back and forth
+between the two, and only the result is a new array (m values from
+``forward``, n from ``adjoint``), never a view of the workspace.  A solve
+calls its operator twice per iteration, so this keeps those calls from
+creating and freeing n-length temporaries.  ``in_order`` gives the copy a
+workspace of its own, but one operator is not safe for concurrent calls:
+two threads calling it at once would share the workspace.
+
 Signal lengths are capped at ``MAX_SIGNAL_LENGTH`` = 2^26 (an 8192 x 8192
-image), where the two held indices take 1 GiB: a header may not ask for more.
+image), where the two held indices take 1 GiB and the workspace another
+GiB: a header may not ask for more.
 
 Randomness is counter-based (Philox) with one stream per purpose, keyed as
 (seed, stream-id): permutation 1, sign flips 2, sampling mask 3, noise 4.
@@ -58,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import _A, _B, fwht, noiselet, noiselet_adjoint
+from .backend import fwht, noiselet, noiselet_adjoint
 
 __all__ = [
     "MAX_SIGNAL_LENGTH",
@@ -107,7 +119,9 @@ class MeasurementOperator:
     Every pass first gathers its input through one index, ``_gather``: the
     scrambling permutation in Hadamard mode, the identity in noiselet mode,
     composed with any input order set by :meth:`in_order`.  Every adjoint
-    pass ends with a gather through its inverse, ``_scatter``.
+    pass ends with a gather through its inverse, ``_scatter``.  The passes
+    run in the operator's workspace, so an operator must not be called
+    from two threads at once.
     """
 
     def __init__(self, n, rate, seed, mode=SCRAMBLED_HADAMARD):
@@ -140,6 +154,7 @@ class MeasurementOperator:
             self._scale = 1.0 / np.sqrt(self.n)
         else:
             perm = np.arange(self.n)
+            self._scale = _SQRT2
         self._set_gather(perm)
 
     def in_order(self, q):
@@ -163,10 +178,12 @@ class MeasurementOperator:
 
     def _set_gather(self, gather):
         """Hold the input gather and its inverse, ``_scatter``, through
-        which the adjoint gathers its output."""
+        which the adjoint gathers its output, and a fresh workspace, so
+        that no two operators share one."""
         self._gather = gather
         self._scatter = np.empty_like(gather)
         self._scatter[gather] = np.arange(self.n)
+        self._work = np.empty((2, self.n))
 
     def _check(self, v, length):
         v = np.asarray(v, dtype=np.float64)
@@ -174,32 +191,44 @@ class MeasurementOperator:
             raise ValueError(f"expected length-{length} vector, got {v.shape}")
         return v
 
-    def _transform(self, x, rows):
-        """Rows ``rows`` (a slice or an index) of the full transform of x."""
-        g = self._gather
+    def _transform(self, x):
+        """The full transform of x before its scale, as a view of the
+        workspace: the callers copy out the rows they keep."""
+        w = self._work
         if self.mode == SCRAMBLED_HADAMARD:
-            v = x[g]
+            # mode="clip" lets take write straight into its output; every
+            # index is in range, so nothing is clipped
+            v = np.take(x, self._gather, out=w[0], mode="clip")
             v *= self._signs
-            return fwht(v)[rows] * self._scale
-        # the complex memory layout is the interleaved (real, imag) output
+            return fwht(v, w[1])
+        # a x0 + b x1 = (x0 + x1)/2 + i (x1 - x0)/2, formed in w[0] viewed
+        # as the interleaved (real, imag) pairs: the same bits as the
+        # complex products, with no complex temporaries
         half = self.n // 2
-        v = noiselet(_A * x[g[:half]] + _B * x[g[half:]]).view(np.float64)
-        return v[rows] * _SQRT2
+        v = np.take(x, self._gather, out=w[1], mode="clip")
+        np.add(v[:half], v[half:], out=w[0, 0::2])
+        np.subtract(v[half:], v[:half], out=w[0, 1::2])
+        w[0] *= 0.5
+        # the complex memory layout is the interleaved (real, imag) output
+        return noiselet(w[0].view(np.complex128), w[1].view(np.complex128)).view(np.float64)
 
-    def _inverse(self, z):
-        """Transpose of the full transform, in input order: one gather
-        through ``_scatter``, the inverse of the forward gather.  A gather
-        through the inverse of a permutation moves the same values as the
-        scatter ``out[_gather] = v``, so the bytes are the same."""
+    def _inverse(self):
+        """Transpose of the full transform of the workspace's first row, in
+        input order: one gather through ``_scatter``, the inverse of the
+        forward gather, into a fresh vector.  A gather through the inverse
+        of a permutation moves the same values as the scatter
+        ``out[_gather] = v``, so the bytes are the same."""
+        w = self._work
         if self.mode == SCRAMBLED_HADAMARD:
-            v = fwht(z)
+            v = fwht(w[0], w[1])
             v *= self._scale
             v *= self._signs
         else:
-            # Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2
+            # Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2,
+            # written to whichever row does not hold u
             half = self.n // 2
-            u = noiselet_adjoint(z.view(np.complex128))
-            v = np.empty(self.n)
+            u = noiselet_adjoint(w[0].view(np.complex128), w[1].view(np.complex128))
+            v = w[0] if np.may_share_memory(u, w[1]) else w[1]
             np.subtract(u.real, u.imag, out=v[:half])
             np.add(u.real, u.imag, out=v[half:])
             v *= 0.5 * _SQRT2
@@ -212,7 +241,7 @@ class MeasurementOperator:
         interleaved.  Because N_n = W ⊗ N_h (h = n/2), that half is
         N_h (a x[:h] + b x[h:]): one h-point noiselet, not an n-point one.
         """
-        return self._transform(self._check(x, self.n), slice(None))
+        return self._transform(self._check(x, self.n)) * self._scale
 
     def full_inverse(self, z):
         """Inverse (= transpose) of :meth:`full_transform`.
@@ -222,19 +251,23 @@ class MeasurementOperator:
         and W^H = [[b, a], [a, b]], that is sqrt(2) * [Re(b u); Re(a u)] with
         u = N_h^H w: one h-point adjoint, not an n-point one.
         """
-        return self._inverse(np.ascontiguousarray(self._check(z, self.n)))
+        self._work[0] = self._check(z, self.n)
+        return self._inverse()
 
     def forward(self, x):
         """Subsampled measurements: transform then keep the masked rows."""
-        return self._transform(self._check(x, self.n), self.sample_indices)
+        y = self._transform(self._check(x, self.n))[self.sample_indices]
+        y *= self._scale
+        return y
 
     def adjoint(self, y):
         """Transpose of :meth:`forward`; equals the Moore-Penrose pseudo-inverse
         applied to y because the kept rows are orthonormal."""
         y = self._check(y, self.m)
-        z = np.zeros(self.n)
+        z = self._work[0]
+        z.fill(0.0)
         z[self.sample_indices] = y
-        return self._inverse(z)
+        return self._inverse()
 
     def dense_matrix(self):
         """Materialize the full transform (tests/verification; n <= 4096)."""

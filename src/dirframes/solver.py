@@ -35,7 +35,16 @@ elementwise arithmetic, so the image bytes are unchanged; residuals and
 PSNRs are sums taken in another order and move only by rounding.
 
 The three dual steps are ``dual_l1``, ``dual_l12`` and ``dual_data``.  Each
-reuses its operator's fresh output as the accumulator.
+reuses its operator's fresh output as the accumulator.  The frame's step
+goes last: ``_frame_step`` runs the analysis, ``dual_l1`` and the adjoint
+one power-of-two chunk of blocks at a time, writing ``A^T z1`` over the
+extrapolated point, where the next iteration's gradient starts.  So no
+(L, n_out) coefficient array is made.  With the sensing passes in their
+operator's held workspace (see ``sensing``), the heap stays flat across
+iterations instead of growing and trimming, which cost a 256 x 256
+noiselet solve about 530 minor page faults per iteration.  The chunks
+give the whole-stack bytes for every family but pyramid-16 (see
+``_frame_chunk``).
 
 Step sizes must satisfy gamma1 * gamma2 * ||L||^2 <= 1 for the stacked
 operator L = [F B; W D; Phi].  Since L^T L is the sum of the blocks' Gram
@@ -396,15 +405,21 @@ def _divergence_guard(residuals, window=100, factor=10.0):
         )
 
 
+def _image_of_shape(image, shape, what):
+    """The image as float64, or ``ValueError`` naming it (``what``) and both
+    shapes when it does not have the observation's ``shape``."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.shape != tuple(shape):
+        raise ValueError(
+            f"{what} shape {image.shape} does not match the observation's {tuple(shape)}"
+        )
+    return image
+
+
 def check_truth_shape(truth, shape):
     """The reference image as float64, or ``ValueError`` naming both shapes
     when it does not have the observation's ``shape``."""
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.shape != tuple(shape):
-        raise ValueError(
-            f"truth image shape {truth.shape} does not match the observation's {tuple(shape)}"
-        )
-    return truth
+    return _image_of_shape(truth, shape, "truth image")
 
 
 def _block_operators(problem):
@@ -418,6 +433,42 @@ def _block_operators(problem):
     meas = meas.in_order(_stack_positions(M, H // M, W // M).ravel(order="F"))
     diff = DiffOperator((H, W), M) if problem.rho > 0 else None
     return meas, diff
+
+
+# coefficients per chunk of the frame step: 2^15 floats (256 KiB) keep a
+# chunk's coefficients in cache from the analysis to the adjoint, and its
+# temporaries are reused at one size instead of the heap growing and trimming
+# by the whole (L, n_out) array every iteration
+_FRAME_CHUNK_FLOATS = 2**15
+
+
+def _frame_chunk(n_out):
+    """Blocks per chunk of the frame step: the largest power of two whose
+    coefficients fit in ``_FRAME_CHUNK_FLOATS`` floats, and at least 1.
+
+    A power of two, because the size of a chunk decides its bytes: BLAS
+    can round the rows at the end of a product differently from the same
+    rows inside a longer one.  L is a power of two (H W is, so H, W and M
+    are), so power-of-two chunks tile the stack exactly, and measured under
+    OpenBLAS 0.3.31 they give the whole-stack bytes for every family and M
+    in {4, 8, 16, 32} except pyramid-16 (its last coefficient of the last
+    few blocks of a chunk moves by up to an ulp); chunks of 127 or 254
+    blocks moved hundreds of coefficients of every family at M = 8 and 16.
+    """
+    return 1 << max((_FRAME_CHUNK_FLOATS // n_out).bit_length() - 1, 0)
+
+
+def _frame_step(frame, z1, xb, gamma):
+    """The l1 dual step and the frame adjoint of its result, one chunk of
+    blocks at a time (``_frame_chunk``): ``z1 <- dual_l1(z1, A xb, gamma)``
+    in place, and xb overwritten with ``A^T z1`` and returned.  No array of
+    the whole (L, n_out) coefficients is made."""
+    step = _frame_chunk(frame.n_out)
+    for start in range(0, xb.shape[0], step):
+        chunk = slice(start, start + step)
+        z1[chunk] = dual_l1(z1[chunk], frame.analyze_blocks(xb[chunk]), gamma)
+        xb[chunk] = frame.adjoint_blocks(z1[chunk])
+    return xb
 
 
 def solve(problem, config=None, truth=None):
@@ -483,13 +534,14 @@ def solve(problem, config=None, truth=None):
     z1 = np.zeros((L, frame.n_out))
     z2 = np.zeros((2, diff.ring_size)) if use_tv else None
     z3 = np.zeros(obs.measurement_count)
+    frame_adjoint = frame.adjoint_blocks(z1)
 
     residuals = []
     psnr_history = [] if truth is not None else None
     stop_reason = "max-iters"
 
     for it in range(int(max_iters)):
-        grad = frame.adjoint_blocks(z1)
+        grad = frame_adjoint
         grad += meas.adjoint(z3).reshape(L, M, M)
         if use_tv:
             grad += diff.adjoint(z2)
@@ -499,10 +551,12 @@ def solve(problem, config=None, truth=None):
         xb = 2.0 * x_new
         xb -= x
 
-        z1 = dual_l1(z1, frame.analyze_blocks(xb), g2)
+        # the three dual steps are independent; the frame's goes last
+        # because it overwrites xb with the next iteration's A^T z1
         if use_tv:
             z2 = dual_l12(z2, diff.apply(xb), g2, rho)
         z3 = dual_data(z3, meas.forward(xb.reshape(-1)), g2, y, eps, problem.fidelity_mode)
+        frame_adjoint = _frame_step(frame, z1, xb, g2)
 
         res = float(np.linalg.norm(np.subtract(x_new, x, out=x)))
         residuals.append(res)
@@ -541,7 +595,7 @@ def objective_terms(problem, x):
     """
     obs = problem.observation
     frame = problem.frame
-    x = check_truth_shape(x, (obs.height, obs.width))
+    x = _image_of_shape(x, (obs.height, obs.width), "scored image")
     blocks = to_blocks(x, frame.block_size).blocks
     meas, diff = _block_operators(problem)
     coeffs = frame.analyze_blocks(blocks).ravel()

@@ -82,6 +82,41 @@ def test_kernels_reject_bad_length():
             backend.noiselet(bad)
 
 
+KERNELS = (("fwht", np.float64), ("noiselet", np.complex128),
+           ("noiselet_adjoint", np.complex128))
+
+
+@pytest.mark.parametrize("name, dtype", KERNELS, ids=[k for k, _ in KERNELS])
+@pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+def test_kernel_with_scratch_matches_call_without(name, dtype, n):
+    # the same passes, written into the two given vectors: the same bytes,
+    # and the call without a scratch leaves its input as it was
+    rng = np.random.Generator(np.random.Philox(key=[n, 0xADE]))
+    x = rng.standard_normal(n)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(n)
+    before = x.copy()
+    kernel = getattr(backend, name)
+    fresh = kernel(x)
+    assert x.tobytes() == before.tobytes()
+    work, scratch = x.copy(), np.empty(n, dtype=dtype)
+    held = kernel(work, scratch)
+    assert held is work or held is scratch
+    assert held.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("name, dtype", KERNELS, ids=[k for k, _ in KERNELS])
+def test_kernel_rejects_bad_scratch(name, dtype):
+    kernel = getattr(backend, name)
+    x = np.zeros(16, dtype=dtype)
+    other = np.complex128 if dtype is np.float64 else np.float64
+    wide = np.zeros(32, dtype=dtype)
+    for bad in (np.zeros(8, dtype=dtype), np.zeros((16, 1), dtype=dtype),
+                np.zeros(16, dtype=other), wide[::2], x):
+        with pytest.raises(ValueError, match="scratch"):
+            kernel(x, bad)
+
+
 # ---------------------------------------------------------------------------
 # measurement operator
 
@@ -289,3 +324,75 @@ def test_sense_image_argument_checks():
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
             sensing.sense_image(img, 0.5, sigma=sigma, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the operator's held workspace
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_operator_calls_allocate_only_their_result(mode):
+    # each pass runs in the operator's workspace: once warm, forward
+    # allocates its m measurements and adjoint its n values, and little else
+    tracemalloc = pytest.importorskip("tracemalloc")
+    n = 2**14
+    op = sensing.MeasurementOperator(n, rate=0.4, seed=3, mode=mode)
+    op = op.in_order(np.random.Generator(np.random.Philox(key=[n, 0xAE0])).permutation(n))
+    rng = np.random.Generator(np.random.Philox(key=[n, 0xAE1]))
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(op.m)
+    op.forward(x)
+    op.adjoint(y)
+    tracemalloc.start()
+    try:
+        for call, arg, result in ((op.forward, x, op.m), (op.adjoint, y, n)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call(arg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            del out
+            assert peak <= 8 * result + 4096, (call.__name__, peak, 8 * result)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_operator_results_do_not_alias(mode):
+    # every result is a fresh array, never a view of the workspace that the
+    # next call overwrites
+    n = 256
+    op = sensing.MeasurementOperator(n, rate=0.5, seed=4, mode=mode)
+    rng = np.random.Generator(np.random.Philox(key=[n, 0xAE2]))
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    y, w = rng.standard_normal(op.m), rng.standard_normal(op.m)
+    for call, first, second in ((op.full_transform, u, v), (op.full_inverse, u, v),
+                                (op.forward, u, v), (op.adjoint, y, w)):
+        a = call(first)
+        kept = a.copy()
+        b = call(second)
+        assert not np.shares_memory(a, b), call.__name__
+        assert not np.shares_memory(a, op._work), call.__name__
+        assert a.tobytes() == kept.tobytes(), call.__name__
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_relabeled_copy_has_its_own_workspace(mode):
+    # calls alternating between an operator and its in_order copy give the
+    # bytes that each gives when called alone
+    n = 512
+    op = sensing.MeasurementOperator(n, rate=0.4, seed=5, mode=mode)
+    rng = np.random.Generator(np.random.Philox(key=[n, 0xAE3]))
+    relabeled = op.in_order(rng.permutation(n))
+    u = rng.standard_normal((3, n))
+    y = rng.standard_normal((3, op.m))
+
+    def calls(o, i):
+        return [o.forward(u[i]), o.adjoint(y[i]), o.full_transform(u[i]), o.full_inverse(u[i])]
+
+    alone = [calls(o, i) for o in (op, relabeled) for i in range(3)]
+    interleaved = [[], []]
+    for i in range(3):
+        for side, o in enumerate((op, relabeled)):
+            interleaved[side].append(calls(o, i))
+    for want, got in zip(alone, interleaved[0] + interleaved[1]):
+        assert [a.tobytes() for a in want] == [a.tobytes() for a in got]

@@ -473,8 +473,10 @@ def test_objective_terms_rejects_image_of_wrong_shape():
     # 16 x 64 has the observation's pixel count but not its shape
     obs = sn.sense_image(ig.block_mosaic(32, seed=1), 0.5, 0.0, seed=9)
     prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
-    with pytest.raises(ValueError, match=r"\(16, 64\).*\(32, 32\)"):
+    with pytest.raises(ValueError, match=r"\(16, 64\).*\(32, 32\)") as info:
         sv.objective_terms(prob, np.zeros((16, 64)))
+    # the scored image is the solve's result, not a truth image
+    assert "truth" not in str(info.value)
 
 
 def test_divergence_guard():
@@ -649,6 +651,64 @@ def test_solve_derives_ring_indices_once(monkeypatch, rho):
     _, rep = sv.solve(prob, sv.SolverConfig(max_iters=5, stop_tol=0.0))
     assert rep.iterations == 5
     assert calls == {"init": int(rho > 0), "gathers": int(rho > 0)}
+
+
+def test_solve_derives_stack_map_once():
+    # a rho > 0 solve and the scoring of its result share one evaluation of
+    # the layout map, and every caller gets it read-only
+    ig._stack_positions.cache_clear()
+    img = ig.block_mosaic(32, seed=3)
+    obs = sn.sense_image(img, 0.5, 0.05, seed=10)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=1.0)
+    x, _ = sv.solve(prob, sv.SolverConfig(max_iters=3, stop_tol=0.0))
+    sv.objective_terms(prob, x)
+    info = ig._stack_positions.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert not ig._stack_positions(8, 4, 4).flags.writeable
+
+
+_FRAME_STEP_FRAMES = {}
+# pyramid-16's analysis has 513 coefficients, one past a multiple of 16.
+# Under OpenBLAS 0.3.31 (SkylakeX kernels) a product over a chunk rounds
+# that last coefficient of the chunk's last few blocks differently from the
+# whole-stack product (the last 3 of 256 blocks, the last 8 of 512, by at
+# most 8.9e-16); every other coefficient and family is bit-equal
+_EDGE_ROW_FRAMES = {("pyramid", 16)}
+
+
+@pytest.mark.parametrize("multiple", [0.5, 1, 4])
+@pytest.mark.parametrize("M", [4, 8, 16, 32])
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+def test_frame_step_matches_whole_stack(family, M, multiple):
+    # the chunked analysis, l1 dual step and adjoint give the whole-stack
+    # bytes, for stacks shorter than one chunk, equal to it and four chunks
+    key = (family, M)
+    if key not in _FRAME_STEP_FRAMES:
+        _FRAME_STEP_FRAMES[key] = fr.build_frame(family, M)
+    frame = _FRAME_STEP_FRAMES[key]
+    chunk = sv._frame_chunk(frame.n_out)
+    assert chunk & (chunk - 1) == 0
+    assert chunk * frame.n_out <= sv._FRAME_CHUNK_FLOATS < 2 * chunk * frame.n_out
+    L = int(chunk * multiple)
+    rng = _rng(L * M)
+    xb = rng.standard_normal((L, M, M))
+    z1 = rng.uniform(-1.0, 1.0, (L, frame.n_out))
+    want_z1 = sv.dual_l1(z1, frame.analyze_blocks(xb), 0.7)
+    want = frame.adjoint_blocks(want_z1)
+    got = sv._frame_step(frame, z1, xb, 0.7)
+    assert got is xb
+    if key in _EDGE_ROW_FRAMES and multiple > 1:
+        assert z1[:, :-1].tobytes() == want_z1[:, :-1].tobytes()
+        np.testing.assert_allclose(z1[:, -1], want_z1[:, -1], rtol=0, atol=1e-15)
+        want = frame.adjoint_blocks(z1)
+    else:
+        assert z1.tobytes() == want_z1.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_frame_chunk_floor_is_one_block():
+    assert sv._frame_chunk(sv._FRAME_CHUNK_FLOATS) == 1
+    assert sv._frame_chunk(4 * sv._FRAME_CHUNK_FLOATS) == 1
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
