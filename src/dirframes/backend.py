@@ -9,9 +9,9 @@ Each transform takes an optional ``scratch`` vector of the input's length
 and dtype.  With one, the scratch and the input are both overwritten (or
 the input's contiguous cast to the transform's dtype, when it is not one
 already) and the result is whichever of the two holds it, so a caller with
-held buffers makes no array per call.  Without one,
-the input is copied and a scratch allocated, and the call goes down the same
-path: the result is fresh and the input untouched.
+held buffers makes no array per call.  Without one, the input is copied and
+a scratch allocated, and the call goes down the same path: the result is
+fresh and the input untouched.
 """
 
 import numpy as np
