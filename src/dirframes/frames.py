@@ -29,9 +29,9 @@ operator is built from: (DCT, sine companion) for the two-branch families
 and the pyramid, the single DCT, DHT or DFT for the separable baselines.
 
 How a frame is applied depends on its block size, and nothing else.  For
-M <= 16 ``analyze_blocks`` and ``adjoint_blocks`` are one matrix product
-with the analysis matrix whose columns are in row-major block order,
-``blocks.reshape(L, M*M) @ A_r.T`` and ``(coeffs @ A_r).reshape(L, M, M)``.
+M <= 16 ``analyze_blocks`` and ``adjoint_blocks`` are a matrix product (one
+per chunk, below) with the analysis matrix whose columns are in row-major
+block order, ``blocks.reshape(L, M*M) @ A_r.T`` and ``(coeffs @ A_r).reshape(L, M, M)``.
 ``A_r`` is the analysis matrix with its columns permuted, built on the
 first apply and cached on the frame, so both come from one ``_analyze``
 pass on one basis.  For M > 16, and for ``synthesize_blocks`` at every
@@ -57,6 +57,16 @@ M = 16 is the break-even size: in full 256 x 256 solves (rho = 0, 200
 iterations, four interleaved runs) the product gave 6.1-7.3 ms per
 iteration against 7.9-9.0 separable for pyramid-16, and 6.1-8.1 against
 5.4-6.8 for rdadcf-16.
+
+Analysis and adjoint run over a stack one chunk of ``FrameOperator.chunk``
+blocks at a time, so a block's coefficients do not depend on how long a
+stack it came in, only on its place in a chunk.  BLAS does not keep a
+row's bytes across product lengths: under OpenBLAS 0.3.31 (Haswell
+kernels, 2-core VM) with one thread a 4-chunk analysis product rounded 20
+pyramid-16 coefficients differently from four 1-chunk products, and with
+two threads 160 at pyramid-8 and 85 at pyramid-16, by up to 1.3e-15.  Chunking every
+call makes the solver's chunked frame step give the bytes of whole-stack
+calls whatever the BLAS kernels and thread count.
 """
 
 from __future__ import annotations
@@ -98,6 +108,18 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # largest block size whose analysis and adjoint are applied as one matrix
 # product; see the module docstring
 _GEMM_MAX_BLOCK = 16
+
+# coefficients per chunk of analysis and adjoint: 2^15 floats (256 KiB) keep
+# a chunk's coefficients in cache from the solver's analysis to its adjoint
+_FRAME_CHUNK_FLOATS = 2**15
+
+
+def _frame_chunk(n_out):
+    """Blocks per chunk: the largest power of two whose coefficients fit in
+    ``_FRAME_CHUNK_FLOATS`` floats, and at least 1.  A power of two, so that
+    chunks tile every stack of a power-of-two image (H W is a power of two,
+    so H, W, M and L are)."""
+    return 1 << max((_FRAME_CHUNK_FLOATS // n_out).bit_length() - 1, 0)
 
 FRAME_FAMILIES = ("dadcf", "rdadcf", "pyramid", "dct", "dft", "dht")
 
@@ -160,7 +182,7 @@ class FrameOperator:
     implements the private ``_analyze`` / ``_adjoint`` (and, if it is not
     tight, ``_synthesize``) hooks; the public methods live here only.  For
     M <= 16 analysis and adjoint apply the matrix of ``_analyze`` instead of
-    the hooks (see the module docstring).
+    the hooks, ``chunk`` blocks at a time (see the module docstring).
     """
 
     family = None
@@ -170,6 +192,7 @@ class FrameOperator:
         self.n_out = n_out
         self.subbands = tuple(subbands)
         self.transforms = tuple(transforms)  # the 1-D TransformMatrix designs
+        self.chunk = _frame_chunk(n_out)  # blocks per analysis/adjoint product
         self._analysis = None
         self._gemm = None
 
@@ -195,20 +218,13 @@ class FrameOperator:
 
     def analyze_blocks(self, blocks):
         blocks, squeeze = self._as_stack(blocks)
-        M = self.block_size
-        if M <= _GEMM_MAX_BLOCK:
-            out = blocks.reshape(-1, M * M) @ self._gemm_matrix().T
-        else:
-            out = self._analyze(blocks)
+        out = self._by_chunk(self._analyze_chunk, blocks, (self.n_out,))
         return out[0] if squeeze else out
 
     def adjoint_blocks(self, coeffs):
         coeffs, squeeze = self._as_coeffs(coeffs)
         M = self.block_size
-        if M <= _GEMM_MAX_BLOCK:
-            out = (coeffs @ self._gemm_matrix()).reshape(-1, M, M)
-        else:
-            out = self._adjoint(coeffs)
+        out = self._by_chunk(self._adjoint_chunk, coeffs, (M, M))
         return out[0] if squeeze else out
 
     def synthesize_blocks(self, coeffs):
@@ -242,6 +258,28 @@ class FrameOperator:
             self._gemm = np.ascontiguousarray(self.analysis[:, columns])
             self._gemm.setflags(write=False)
         return self._gemm
+
+    def _by_chunk(self, apply, x, shape):
+        # apply to x one chunk of rows at a time, into a (len(x),) + shape
+        # array; a stack of at most one chunk is one call
+        if len(x) <= self.chunk:
+            return apply(x)
+        out = np.empty((len(x),) + shape)
+        for start in range(0, len(x), self.chunk):
+            out[start:start + self.chunk] = apply(x[start:start + self.chunk])
+        return out
+
+    def _analyze_chunk(self, blocks):
+        M = self.block_size
+        if M <= _GEMM_MAX_BLOCK:
+            return blocks.reshape(-1, M * M) @ self._gemm_matrix().T
+        return self._analyze(blocks)
+
+    def _adjoint_chunk(self, coeffs):
+        M = self.block_size
+        if M <= _GEMM_MAX_BLOCK:
+            return (coeffs @ self._gemm_matrix()).reshape(-1, M, M)
+        return self._adjoint(coeffs)
 
     def _as_stack(self, blocks):
         blocks = np.asarray(blocks, dtype=np.float64)

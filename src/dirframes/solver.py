@@ -37,14 +37,14 @@ PSNRs are sums taken in another order and move only by rounding.
 The three dual steps are ``dual_l1``, ``dual_l12`` and ``dual_data``.  Each
 reuses its operator's fresh output as the accumulator.  The frame's step
 goes last: ``_frame_step`` runs the analysis, ``dual_l1`` and the adjoint
-one power-of-two chunk of blocks at a time, writing ``A^T z1`` over the
+one chunk of ``frame.chunk`` blocks at a time, writing ``A^T z1`` over the
 extrapolated point, where the next iteration's gradient starts.  So no
 (L, n_out) coefficient array is made.  With the sensing passes in their
 operator's held workspace (see ``sensing``), the heap stays flat across
 iterations instead of growing and trimming, which cost a 256 x 256
-noiselet solve about 530 minor page faults per iteration.  The chunks
-give the whole-stack bytes for every family but pyramid-16 (see
-``_frame_chunk``).
+noiselet solve about 530 minor page faults per iteration.  The frame
+applies a whole stack in the same chunks, so the step gives the bytes of
+whole-stack calls (see ``frames``).
 
 Step sizes must satisfy gamma1 * gamma2 * ||L||^2 <= 1 for the stacked
 operator L = [F B; W D; Phi].  Since L^T L is the sum of the blocks' Gram
@@ -435,35 +435,12 @@ def _block_operators(problem):
     return meas, diff
 
 
-# coefficients per chunk of the frame step: 2^15 floats (256 KiB) keep a
-# chunk's coefficients in cache from the analysis to the adjoint, and its
-# temporaries are reused at one size instead of the heap growing and trimming
-# by the whole (L, n_out) array every iteration
-_FRAME_CHUNK_FLOATS = 2**15
-
-
-def _frame_chunk(n_out):
-    """Blocks per chunk of the frame step: the largest power of two whose
-    coefficients fit in ``_FRAME_CHUNK_FLOATS`` floats, and at least 1.
-
-    A power of two, because the size of a chunk decides its bytes: BLAS
-    can round the rows at the end of a product differently from the same
-    rows inside a longer one.  L is a power of two (H W is, so H, W and M
-    are), so power-of-two chunks tile the stack exactly, and measured under
-    OpenBLAS 0.3.31 they give the whole-stack bytes for every family and M
-    in {4, 8, 16, 32} except pyramid-16 (its last coefficient of the last
-    few blocks of a chunk moves by up to an ulp); chunks of 127 or 254
-    blocks moved hundreds of coefficients of every family at M = 8 and 16.
-    """
-    return 1 << max((_FRAME_CHUNK_FLOATS // n_out).bit_length() - 1, 0)
-
-
 def _frame_step(frame, z1, xb, gamma):
     """The l1 dual step and the frame adjoint of its result, one chunk of
-    blocks at a time (``_frame_chunk``): ``z1 <- dual_l1(z1, A xb, gamma)``
+    blocks at a time (``frame.chunk``): ``z1 <- dual_l1(z1, A xb, gamma)``
     in place, and xb overwritten with ``A^T z1`` and returned.  No array of
     the whole (L, n_out) coefficients is made."""
-    step = _frame_chunk(frame.n_out)
+    step = frame.chunk
     for start in range(0, xb.shape[0], step):
         chunk = slice(start, start + step)
         z1[chunk] = dual_l1(z1[chunk], frame.analyze_blocks(xb[chunk]), gamma)

@@ -668,12 +668,6 @@ def test_solve_derives_stack_map_once():
 
 
 _FRAME_STEP_FRAMES = {}
-# pyramid-16's analysis has 513 coefficients, one past a multiple of 16.
-# Under OpenBLAS 0.3.31 (SkylakeX kernels) a product over a chunk rounds
-# that last coefficient of the chunk's last few blocks differently from the
-# whole-stack product (the last 3 of 256 blocks, the last 8 of 512, by at
-# most 8.9e-16); every other coefficient and family is bit-equal
-_EDGE_ROW_FRAMES = {("pyramid", 16)}
 
 
 @pytest.mark.parametrize("multiple", [0.5, 1, 4])
@@ -686,9 +680,9 @@ def test_frame_step_matches_whole_stack(family, M, multiple):
     if key not in _FRAME_STEP_FRAMES:
         _FRAME_STEP_FRAMES[key] = fr.build_frame(family, M)
     frame = _FRAME_STEP_FRAMES[key]
-    chunk = sv._frame_chunk(frame.n_out)
+    chunk = frame.chunk
     assert chunk & (chunk - 1) == 0
-    assert chunk * frame.n_out <= sv._FRAME_CHUNK_FLOATS < 2 * chunk * frame.n_out
+    assert chunk * frame.n_out <= fr._FRAME_CHUNK_FLOATS < 2 * chunk * frame.n_out
     L = int(chunk * multiple)
     rng = _rng(L * M)
     xb = rng.standard_normal((L, M, M))
@@ -697,18 +691,13 @@ def test_frame_step_matches_whole_stack(family, M, multiple):
     want = frame.adjoint_blocks(want_z1)
     got = sv._frame_step(frame, z1, xb, 0.7)
     assert got is xb
-    if key in _EDGE_ROW_FRAMES and multiple > 1:
-        assert z1[:, :-1].tobytes() == want_z1[:, :-1].tobytes()
-        np.testing.assert_allclose(z1[:, -1], want_z1[:, -1], rtol=0, atol=1e-15)
-        want = frame.adjoint_blocks(z1)
-    else:
-        assert z1.tobytes() == want_z1.tobytes()
+    assert z1.tobytes() == want_z1.tobytes()
     assert got.tobytes() == want.tobytes()
 
 
 def test_frame_chunk_floor_is_one_block():
-    assert sv._frame_chunk(sv._FRAME_CHUNK_FLOATS) == 1
-    assert sv._frame_chunk(4 * sv._FRAME_CHUNK_FLOATS) == 1
+    assert fr._frame_chunk(fr._FRAME_CHUNK_FLOATS) == 1
+    assert fr._frame_chunk(4 * fr._FRAME_CHUNK_FLOATS) == 1
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])
