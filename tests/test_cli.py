@@ -411,6 +411,16 @@ def test_sense_non_finite_sigma_exits_2(tmp_path, sigma, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed_noise", ["-1", str(2**64)])
+def test_sense_noise_seed_out_of_range_exits_2(tmp_path, seed_noise, capsys):
+    img_path = _write_image(tmp_path / "img.pgm", ig.block_mosaic(16, seed=0))
+    out = tmp_path / "obs.bin"
+    assert _run("sense", "--image", img_path, "--rate", "0.5", "--sigma", "0.1",
+                "--seed", "1", "--seed-noise", seed_noise, "--out", str(out)) == 2
+    assert "seed_noise must fit in uint64" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.pgm"]
+
+
 def test_recover_nan_epsilon_exits_2(small_case, capsys):
     _, obs_path, tmp = small_case
     out = tmp / "x.pgm"

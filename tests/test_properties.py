@@ -1,9 +1,11 @@
-"""Property tests: adjointness over the operator grid, and input readers
-against arbitrary and mutated bytes.
+"""Property tests: adjointness over the operator grid, input readers against
+arbitrary and mutated bytes, and solves of random small problems.
 
 Hypothesis runs derandomized with a bounded example count and no example
 database, so tier-1 stays deterministic and fast.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -138,3 +140,56 @@ def test_mutated_header_loads_or_exits_3(tmp_path_factory, capsys, data):
                          "--out", str(tmp / "x.pgm")])
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("error: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# solves of random problems: every family and block size the shapes allow,
+# square and non-square images up to 64 x 64, both sensing and both fidelity
+# modes, with and without the seam term
+
+SOLVE_GRID = [(family, M) for family in fr.FRAME_FAMILIES for M in (2, 4, 8, 32)
+              if M >= 4 or family != "rdadcf"]
+SETUPS = list(itertools.product(MODES, (sv.FIDELITY_L2BALL, sv.FIDELITY_EQUALITY),
+                                (0.0, 1.0), (0.05, 1.0)))
+SOLVE = settings(PROPERTY, max_examples=5)
+
+
+def _finite(values):
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=np.float64))))
+
+
+@pytest.mark.parametrize("family, M", SOLVE_GRID)
+@SOLVE
+@given(data=st.data())
+def test_solve_of_random_problem(family, M, data):
+    frame = fr.build_frame(family, M)
+    low = M.bit_length() - 1
+    H, W = (1 << data.draw(st.integers(low, 6)) for _ in range(2))
+    # derandomized draws repeat from one frame to the next, so each frame
+    # starts the (mode, fidelity, rho, rate) setups at its own place
+    k = SOLVE_GRID.index((family, M)) % len(SETUPS)
+    mode, fidelity, rho, rate = data.draw(st.sampled_from(SETUPS[k:] + SETUPS[:k]))
+    sigma = data.draw(st.sampled_from((0.0, 0.1)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    img = np.random.Generator(np.random.Philox(key=[seed, 0xA3])).random((H, W))
+    if rate * H * W < 0.5:
+        # fewer than one measurement rounds to none
+        with pytest.raises(ValueError, match="no measurements"):
+            sn.sense_image(img, rate, sigma, seed, mode=mode)
+        return
+    obs = sn.sense_image(img, rate, sigma, seed, mode=mode)
+    prob = sv.ProblemSpec(frame=frame, observation=obs, rho=rho,
+                          fidelity_mode=fidelity)
+    config = sv.SolverConfig(max_iters=20, stop_tol=0.0)
+    x, rep = sv.solve(prob, config, truth=img)
+    assert x.shape == (H, W) and x.min() >= 0.0 and x.max() <= 1.0
+    assert rep.iterations == 20
+    assert _finite(rep.residuals) and _finite(rep.psnr_history)
+    assert _finite([rep.op_norm_sq, rep.epsilon, rep.final_psnr])
+    terms = sv.objective_terms(prob, x)
+    assert _finite(list(terms.values())) and terms["box_violation"] == 0.0
+    again, rep_again = sv.solve(prob, config, truth=img)
+    assert again.tobytes() == x.tobytes()
+    assert rep_again.residuals.tobytes() == rep.residuals.tobytes()
+    assert rep_again.psnr_history.tobytes() == rep.psnr_history.tobytes()
+    assert sv.objective_terms(prob, again) == terms

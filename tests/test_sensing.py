@@ -326,6 +326,17 @@ def test_sense_image_argument_checks():
             sensing.sense_image(img, 0.5, sigma=sigma, seed=0)
 
 
+def test_sense_image_checks_noise_seed_range():
+    # the noise seed is stored as a uint64, like the operator's seed
+    img = np.zeros((16, 16))
+    for seed_noise in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed_noise"):
+            sensing.sense_image(img, 0.5, sigma=0.1, seed=0, seed_noise=seed_noise)
+    for seed_noise in (0, 2**64 - 1):
+        obs = sensing.sense_image(img, 0.5, sigma=0.1, seed=0, seed_noise=seed_noise)
+        assert obs.seed_noise == seed_noise
+
+
 # ---------------------------------------------------------------------------
 # the operator's held workspace
 
