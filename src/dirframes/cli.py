@@ -120,12 +120,13 @@ def _write_manifest(path, command, args, inputs, outputs, t0):
 def cmd_design(args):
     t0 = time.perf_counter()
     op = frames.build_frame(args.family, args.size)
+    analysis = op.analysis  # before any output, as it may refuse the size
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     name = f"{args.family}_{args.size}_analysis.csv"
-    transforms.matrix_to_csv(op.analysis, out / name)
+    transforms.matrix_to_csv(analysis, out / name)
     written.append(name)
 
     _write_json(out / "subbands.json", op.subbands_json_dict())

@@ -206,10 +206,13 @@ class FrameOperator:
         vector is the j-th unit vector, so the matrix and the fast path
         share one definition.  It goes through ``_analyze`` rather than
         ``analyze_blocks`` so that building it is not counted as an
-        analysis call.
+        analysis call.  Like ``MeasurementOperator.dense_matrix`` it is
+        limited to M^2 <= 4096 (M <= 64), and raises ``ValueError`` beyond.
         """
         if self._analysis is None:
             M = self.block_size
+            if M * M > 4096:
+                raise ValueError(f"dense analysis matrix limited to M^2 <= 4096, got M = {M}")
             basis = np.eye(M * M).reshape(M * M, M, M).transpose(0, 2, 1)
             a = np.ascontiguousarray(self._analyze(basis).T)
             a.setflags(write=False)

@@ -57,7 +57,8 @@ image), where the two held indices take 1 GiB and the workspace another
 GiB: a header may not ask for more.
 
 Randomness is counter-based (Philox) with one stream per purpose, keyed as
-(seed, stream-id): permutation 1, sign flips 2, sampling mask 3, noise 4.
+the uint64 pair (seed, stream-id): permutation 1, sign flips 2, sampling
+mask 3, noise 4.
 """
 
 from __future__ import annotations
@@ -105,7 +106,10 @@ _HEADER = struct.Struct("<8sIIQdQQdB7xQ")
 
 
 def _stream(seed, stream_id):
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream_id)]))
+    # a uint64 key: a plain list holding an int of 2^63 or more becomes
+    # float64 and loses the seed's low bits
+    key = np.array([int(seed), int(stream_id)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _measurement_count(n, rate):

@@ -21,17 +21,19 @@ The primal iterate, its gradient and the extrapolated point are kept as the
 (L, M, M) stack of blocks in raster order that ``FrameOperator.analyze_blocks``
 and ``adjoint_blocks`` read and write, so the frame needs no layout change.
 The two other operators are built once per solve from one map of stack
-positions, and both are gathers only.  Sensing reads the column-major image
-vector, so it alone is relabeled, with ``in_order``: its vectorization and
-scrambling permutation fold into one gather, and its adjoint into one gather
-through the inverse index.  ``DiffOperator`` reads the stack natively and
-forms ``W D`` only on the block ring, where W is 1 (K = L (4M - 4) pixels,
-28 of 64 at M = 8), so the l1,2 dual runs on (2, K) ring pairs and never on
-the zeros W would make.  The loop makes no layout copy: the truth image is
-converted once, for the PSNR trace, and the result once, on return.  Every
-step is a permutation of the image-ordered computation or the same
-elementwise arithmetic, so the image bytes are unchanged; residuals and
-PSNRs are sums taken in another order and move only by rounding.
+positions.  Sensing reads the column-major image vector, so it alone is
+relabeled, with ``in_order``: its vectorization and scrambling permutation
+fold into one gather, and its adjoint into one gather through the inverse
+index.  ``DiffOperator`` reads the stack natively and forms ``W D`` only on
+the block ring, where W is 1 (K = L (4M - 4) pixels, 28 of 64 at M = 8), so
+the l1,2 dual runs on (2, K) ring pairs and never on the zeros W would
+make; its apply is gathers, and its adjoint one gather and one
+``np.bincount`` scatter, the exact transpose.  The loop makes no layout
+copy: the truth image is converted once, for the PSNR trace, and the
+result once, on return.  Every step is a permutation of the image-ordered
+computation or the same elementwise arithmetic, so the image bytes are
+unchanged; residuals and PSNRs are sums taken in another order and move
+only by rounding.
 
 Each term f_i(K_i x) of L = [F B; Phi; W D] is defined once, as a record
 from ``_terms``: its certified bound on ||K_i||^2, its zero dual, its dual
@@ -46,8 +48,9 @@ and the adjoint one chunk of ``frame.chunk`` blocks at a time, writing
 gradient starts.  So no (L, n_out) coefficient array is made.  The other
 two adjoints are made at the start of the next iteration, one at a time,
 each added and freed before the next: with the sensing passes in their
-operator's held workspace (see ``sensing``), the heap then stays flat
-across iterations instead of growing and trimming, which cost a 256 x 256
+operator's held workspace (see ``sensing``) and the seam adjoint's gather
+in a buffer that ``DiffOperator`` holds, the heap then stays flat across
+iterations instead of growing and trimming, which cost a 256 x 256
 noiselet solve about 530 minor page faults per iteration.  (Steps that
 return their adjoints at once keep two (L, M, M) arrays alive across the
 frame's step, and 256 x 256 mosaic solves at rates 0.5 and 0.6 then paid
@@ -205,12 +208,12 @@ class DiffOperator:
     (horizontal) for the ring pixels ``self`` in row-major image order, where
     ``down`` and ``right`` are ``self`` on the last row and column, so those
     differences are exactly 0.  ``adjoint(z)`` is its exact transpose, an
-    (L, M, M) stack: ``((zv[up] - zv[vself]) + zh[left]) - zh[hself]``
-    gathered from z padded with one zero, which stands in for every pair
-    entry that is not on the ring or not formed.  That sum is taken only
-    where it can be nonzero, on the ring and its inner neighbours (39 of 64
-    pixels at M = 8), and one more gather places it in the stack.  Both
-    directions are gathers only.
+    (L, M, M) stack: one table lists every formed difference twice, as the
+    stack position it adds to (``into``) and the pair entry it reads
+    (``from``), and ``np.bincount`` sums each pixel's entries in table
+    order, ``(((0 + zv[up]) - zv[self]) + zh[left]) - zh[self]``.  The
+    entries are gathered into a buffer the operator holds, so one operator
+    is not safe for concurrent calls from several threads.
     """
 
     def __init__(self, shape, block_size):
@@ -225,44 +228,21 @@ class DiffOperator:
         tile = np.ones((M, M), dtype=bool)
         tile[1 : M - 1, 1 : M - 1] = False
         ring = np.tile(tile, (H // M, W // M))
-        self.ring_size = int(np.count_nonzero(ring))
+        self.ring_size = K = int(np.count_nonzero(ring))
         pixels = _stack_positions(M, H // M, W // M)
         self._ring = pixels[ring]
         self._down = np.vstack((pixels[1:], pixels[-1:]))[ring]
         self._right = np.hstack((pixels[:, 1:], pixels[:, -1:]))[ring]
-        self._gathers = self._adjoint_gathers()
-
-    def _adjoint_gathers(self):
-        """The adjoint's indices into z padded with a zero at 2K.
-
-        Only two kinds of pixel receive anything: ring pixels, which take all
-        four terms, and the inner pixels just below or right of the ring,
-        which take ``zv[up]`` and ``zh[left]`` and, having no pair of their
-        own, subtract the zero (x - 0 = x, so their sum is the same
-        arithmetic).  ``up``, ``vself``, ``left`` and ``hself`` are per ring
-        pixel, pointing at the zero where a difference is not formed (the
-        last row or column, or no ring pixel above or left); the two inner
-        indices are per inner pixel; ``place`` gathers those values, and a
-        zero for every other pixel, into the stack.
-        """
-        K = self.ring_size
-        zero = 2 * K
-        t = np.arange(K)
-        vertical = self._down != self._ring
-        horizontal = self._right != self._ring
-        # per stack position: the pair entry whose difference ends there
-        up = np.full(self.n, zero)
-        up[self._down[vertical]] = t[vertical]
-        left = np.full(self.n, zero)
-        left[self._right[horizontal]] = K + t[horizontal]
-        on_ring = np.zeros(self.n, dtype=bool)
-        on_ring[self._ring] = True
-        inner = np.flatnonzero(~on_ring & ((up != zero) | (left != zero)))
-        place = np.full(self.n, K + inner.size)
-        place[self._ring] = t
-        place[inner] = K + np.arange(inner.size)
-        return (up[self._ring], np.where(vertical, t, zero), left[self._ring],
-                np.where(horizontal, K + t, zero), up[inner], left[inner], place)
+        # the adjoint's table, by segment: vertical end, vertical start,
+        # horizontal end, horizontal start; the start segments are negated
+        vertical = np.flatnonzero(self._down != self._ring)
+        horizontal = np.flatnonzero(self._right != self._ring)
+        self._into = np.concatenate((self._down[vertical], self._ring[vertical],
+                                     self._right[horizontal], self._ring[horizontal]))
+        self._from = np.concatenate((vertical, vertical, K + horizontal, K + horizontal))
+        self._starts = (slice(vertical.size, 2 * vertical.size),
+                        slice(2 * vertical.size + horizontal.size, None))
+        self._weights = np.empty(self._from.size)
 
     def apply(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -279,19 +259,10 @@ class DiffOperator:
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (2, self.ring_size):
             raise ValueError(f"expected (2, {self.ring_size}), got {z.shape}")
-        K = self.ring_size
-        up, vself, left, hself, inner_up, inner_left, place = self._gathers
-        padded = np.empty(2 * K + 1)
-        padded[:-1] = z.reshape(-1)
-        padded[-1] = 0.0
-        values = np.empty(K + inner_up.size + 1)
-        ring = values[:K]
-        np.subtract(padded[up], padded[vself], out=ring)
-        ring += padded[left]
-        ring -= padded[hself]
-        np.add(padded[inner_up], padded[inner_left], out=values[K:-1])
-        values[-1] = 0.0
-        return values[place].reshape(self.stack_shape)
+        w = np.take(z.reshape(-1), self._from, out=self._weights, mode="clip")
+        for start in self._starts:
+            np.negative(w[start], out=w[start])
+        return np.bincount(self._into, w, minlength=self.n).reshape(self.stack_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -64,6 +65,33 @@ def test_design_dft_family_real_imag(tmp_path):
 
 def test_design_bad_size_exits_2(tmp_path):
     assert _run("design", "--family", "dadcf", "--size", "6", "--out", str(tmp_path / "x")) == 2
+
+
+def _run_capped(*argv):
+    """``dirframes`` in a child process whose address space is capped at
+    1 GiB, at one BLAS thread, so that an unbounded allocation fails fast."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "dirframes.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True)
+
+
+def test_oversized_block_exits_2_before_allocating(tmp_path):
+    # the dense analysis matrix of M = 128 would take 2 GiB; design and
+    # verify refuse it with the usage code and write nothing, while a size
+    # within the bound still runs under the same cap
+    out = tmp_path / "x"
+    for argv in (("design", "--out", str(out)), ("verify",)):
+        run = _run_capped(*argv, "--family", "dct", "--size", "128")
+        assert run.returncode == 2, run.stderr
+        assert "M^2 <= 4096" in run.stderr and "Traceback" not in run.stderr
+    assert not out.exists()
+    run = _run_capped("design", "--family", "rdadcf", "--size", "16", "--out", str(tmp_path / "ok"))
+    assert run.returncode == 0, run.stderr
 
 
 def test_unknown_family_exits_2(tmp_path):

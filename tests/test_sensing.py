@@ -1,5 +1,7 @@
 """Unit tests for the measurement kernels, operators, and observation I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,22 @@ def test_operator_seed_determinism():
     c = sensing.MeasurementOperator(256, 0.5, seed=12)
     np.testing.assert_array_equal(a.sample_indices, b.sample_indices)
     assert not np.array_equal(a.sample_indices, c.sample_indices)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_seeds_of_two_to_the_63_or_more_keep_their_streams(mode):
+    # the Philox key is a uint64 pair, so a seed of 2^63 or more is not
+    # rounded through float64 onto a lower seed's streams, with a cast warning
+    x = np.random.Generator(np.random.Philox(key=[256, 0xADD])).standard_normal(256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, lower in ((2**64 - 1, 0), (2**63 + 1, 2**63)):
+            a = sensing.MeasurementOperator(256, 0.5, seed=seed, mode=mode)
+            b = sensing.MeasurementOperator(256, 0.5, seed=lower, mode=mode)
+            assert a.forward(x).tobytes() != b.forward(x).tobytes()
+            assert not np.array_equal(a.sample_indices, b.sample_indices)
+            noise = [sensing.add_noise(np.zeros(16), 1.0, s) for s in (seed, lower)]
+            assert noise[0].tobytes() != noise[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
