@@ -3,128 +3,22 @@
 Parseval block frames built from cosine/sine transform pairs, a mean-separated
 pyramid variant, fast sensing operators (scrambled Hadamard / noiselet), and a
 primal-dual solver for recovering images from compressive measurements.
+
+The package exports the names of the README's quickstart; everything else is
+reached through its module (``dirframes.frames``, ``.sensing``, ``.solver``,
+``.imagegrid``, ``.transforms``, ``.backend``, ``.cli``).
 """
 
 __version__ = "0.1.0"
 
-from .backend import backend_name, fwht, noiselet, noiselet_adjoint
-from .frames import (
-    FRAME_FAMILIES,
-    FrameOperator,
-    analyticity_ratio,
-    atom,
-    build_dadcf,
-    build_frame,
-    build_pyramid,
-    build_rdadcf,
-    build_separable,
-    directional_cosine_atom,
-    row_spectrum,
-)
-from .imagegrid import (
-    block_mosaic,
-    center_crop,
-    from_blocks,
-    oriented_texture,
-    psnr,
-    read_pgm,
-    to_blocks,
-    write_pgm,
-    zoneplate,
-)
-from .sensing import (
-    COMPLEX_NOISELET,
-    SCRAMBLED_HADAMARD,
-    MeasurementOperator,
-    Observation,
-    load_observation,
-    pseudo_inverse_estimate,
-    save_observation,
-    sense_image,
-)
-from .solver import (
-    ConvergenceReport,
-    DiffOperator,
-    DivergenceError,
-    ProblemSpec,
-    SolverConfig,
-    objective_terms,
-    prox_l1,
-    prox_l12,
-    project_ball,
-    solve,
-)
-from .transforms import (
-    TransformMatrix,
-    build_dct,
-    build_dft,
-    build_dht,
-    build_dst,
-    build_modified_dst,
-    build_rdst,
-    dst_from_dct,
-    extract_gamma,
-    factor_givens,
-    matrix_from_csv,
-    matrix_to_csv,
-    redesign_conditioning,
-)
+from .frames import build_frame
+from .imagegrid import block_mosaic, psnr, to_blocks
+from .sensing import pseudo_inverse_estimate, sense_image
+from .solver import ProblemSpec, SolverConfig, solve
 
 __all__ = [
     "__version__",
-    "backend_name",
-    "fwht",
-    "noiselet",
-    "noiselet_adjoint",
-    "FRAME_FAMILIES",
-    "FrameOperator",
-    "analyticity_ratio",
-    "atom",
-    "build_dadcf",
-    "build_frame",
-    "build_pyramid",
-    "build_rdadcf",
-    "build_separable",
-    "directional_cosine_atom",
-    "row_spectrum",
-    "center_crop",
-    "from_blocks",
-    "block_mosaic",
-    "oriented_texture",
-    "psnr",
-    "read_pgm",
-    "to_blocks",
-    "write_pgm",
-    "zoneplate",
-    "COMPLEX_NOISELET",
-    "SCRAMBLED_HADAMARD",
-    "MeasurementOperator",
-    "Observation",
-    "load_observation",
-    "pseudo_inverse_estimate",
-    "save_observation",
-    "sense_image",
-    "ConvergenceReport",
-    "DiffOperator",
-    "DivergenceError",
-    "ProblemSpec",
-    "SolverConfig",
-    "objective_terms",
-    "prox_l1",
-    "prox_l12",
-    "project_ball",
-    "solve",
-    "TransformMatrix",
-    "build_dct",
-    "build_dft",
-    "build_dht",
-    "build_dst",
-    "build_modified_dst",
-    "build_rdst",
-    "dst_from_dct",
-    "extract_gamma",
-    "factor_givens",
-    "matrix_from_csv",
-    "matrix_to_csv",
-    "redesign_conditioning",
+    "build_frame", "to_blocks", "block_mosaic",
+    "sense_image", "pseudo_inverse_estimate",
+    "ProblemSpec", "SolverConfig", "solve", "psnr",
 ]

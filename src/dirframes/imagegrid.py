@@ -23,7 +23,6 @@ __all__ = [
     "block_mosaic",
     "read_pgm",
     "write_pgm",
-    "center_crop",
 ]
 
 PSNR_CAP_DB = 300.0
@@ -155,17 +154,6 @@ def block_mosaic(N, seed=0, block=8):
     return np.repeat(np.repeat(vals, block, axis=0), block, axis=1)
 
 
-def center_crop(img, multiple):
-    """Largest centered crop whose sides are multiples of ``multiple``."""
-    img = _check_image(img)
-    H, W = img.shape
-    h = (H // multiple) * multiple
-    w = (W // multiple) * multiple
-    if h == 0 or w == 0:
-        raise ValueError(f"image {H}x{W} smaller than block size {multiple}")
-    top = (H - h) // 2
-    left = (W - w) // 2
-    return img[top : top + h, left : left + w].copy()
 
 
 def read_pgm(path):

@@ -112,6 +112,11 @@ def _stream(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_seed(seed, name="seed"):
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"{name} must fit in uint64")
+
+
 def _measurement_count(n, rate):
     """Rows kept at a sampling rate: rate * n rounded half up."""
     return int(np.floor(rate * n + 0.5))
@@ -137,8 +142,7 @@ class MeasurementOperator:
             raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
         if mode not in _MODE_CODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError("seed must fit in uint64")
+        _check_seed(seed)
         self.n = int(n)
         self.rate = float(rate)
         self.seed = int(seed)
@@ -312,10 +316,15 @@ class Observation:
 
 
 def add_noise(y, sigma, seed, stream_id=_STREAM_NOISE):
-    """Add white Gaussian noise; sigma = 0 returns the input unchanged."""
+    """Add white Gaussian noise; sigma = 0 returns the input unchanged.
+
+    Raises ``ValueError`` unless sigma is finite and >= 0 and the seed is in
+    [0, 2^64), whatever sigma is.
+    """
     y = np.asarray(y, dtype=np.float64)
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    _check_seed(seed)
     if sigma == 0:
         return y.copy()
     return y + sigma * _stream(seed, stream_id).standard_normal(y.size)
@@ -330,8 +339,7 @@ def sense_image(img, rate, sigma, seed, mode=SCRAMBLED_HADAMARD, seed_noise=None
     n = H * W
     op = MeasurementOperator(n, rate, seed, mode)
     seed_noise = seed if seed_noise is None else seed_noise
-    if not 0 <= int(seed_noise) < 2**64:
-        raise ValueError("seed_noise must fit in uint64")
+    _check_seed(seed_noise, "seed_noise")
     clean = op.forward(img.reshape(-1, order="F"))
     y = add_noise(clean, sigma, seed_noise)
     return Observation(y, H, W, rate, int(seed), int(seed_noise), float(sigma), mode)

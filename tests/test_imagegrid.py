@@ -146,16 +146,3 @@ def test_read_pgm_rejects_bad_files(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         ig.write_pgm(np.full((4, 4), 1.5), tmp_path / "bad.pgm")
-
-
-# ---------------------------------------------------------------------------
-# cropping
-
-
-def test_center_crop():
-    img = _rand_image(19, 26, key=4)
-    out = ig.center_crop(img, 8)
-    assert out.shape == (16, 24)
-    np.testing.assert_array_equal(out, img[1:17, 1:25])
-    with pytest.raises(ValueError):
-        ig.center_crop(_rand_image(4, 4), 8)

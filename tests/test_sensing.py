@@ -355,6 +355,16 @@ def test_sense_image_checks_noise_seed_range():
         assert obs.seed_noise == seed_noise
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_add_noise_checks_seed_range(sigma):
+    # checked before the sigma = 0 shortcut, so a bad seed fails at any sigma
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in uint64"):
+            sensing.add_noise(np.zeros(4), sigma, seed)
+    for seed in (0, 2**64 - 1):
+        assert sensing.add_noise(np.zeros(4), sigma, seed).shape == (4,)
+
+
 # ---------------------------------------------------------------------------
 # the operator's held workspace
 

@@ -1,5 +1,11 @@
 """Unit tests for proximal operators, the difference operator, and the solver."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -720,3 +726,82 @@ def test_solve_converts_layout_only_at_the_ends(monkeypatch, rho, iters):
     _, rep = sv.solve(prob, sv.SolverConfig(max_iters=iters, stop_tol=0.0), truth=img)
     assert rep.iterations == iters
     assert calls == {"to_blocks": 1, "from_blocks": 1}
+
+
+# ---------------------------------------------------------------------------
+# the loop's heap stays flat
+#
+# A solve's set-up allocates fresh arrays, but its iterations reuse freed
+# heap memory and the operators' held workspaces, so they take (almost) no
+# new pages from the kernel.  Differencing the minor faults of a warm long
+# and a warm short solve cancels the set-up.  Each case runs in a fresh
+# interpreter at one BLAS thread (as the benchmark runs) that, like
+# `dirframes recover`, senses, builds the frame and solves.
+#
+# The figure depends on the C library's allocator.  glibc raises its mmap
+# and trim thresholds to the largest block freed so far, so whether a fresh
+# temporary faults in again on every iteration depends on what the process
+# allocated before.  On glibc 2.36 the loop reads -2 to 2 faults per
+# iteration.  A 0.9 MB temporary made afresh by every seam adjoint (an
+# unbuffered `bincount`) read 110 to 130 in one of the four cases and about
+# 0 in the others, and which case moved with the BLAS thread count.
+#
+# So the second test pins the thresholds (mmap threshold 32 KiB, no trim
+# threshold, no top pad): every fresh array of 32 KiB or more is then mapped
+# anew, and the count is the pages of the loop's fresh temporaries, the same
+# in every run: 1912 and 1933 at rates 0.4 and 0.6 in both modes (numpy
+# 2.4), 2135 and 2156 with the unbuffered `bincount`.  One more image-sized
+# temporary (128 pages at 256x256) per iteration breaks its bound.
+
+_FAULTS_PER_ITERATION = """
+import resource, sys
+from dirframes import frames as fr, imagegrid as ig, sensing as sn, solver as sv
+mode, rate, long, short = sys.argv[1], float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+truth = ig.block_mosaic(256, seed=0)
+obs = sn.sense_image(truth, rate, 0.1, seed=17, mode=mode)
+problem = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=1.0)
+
+def faults(iters):
+    config = sv.SolverConfig(max_iters=iters, stop_tol=0.0)
+    sv.solve(problem, config, truth=truth)   # warm-up of the same length
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, report = sv.solve(problem, config, truth=truth)
+    assert report.iterations == iters
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print((faults(long) - faults(short)) / (long - short))
+"""
+
+_PINNED_MALLOC = ("glibc.malloc.mmap_threshold=32768:glibc.malloc.trim_threshold=0:"
+                  "glibc.malloc.top_pad=0")
+
+HEAP_CASES = pytest.mark.parametrize("mode, rate", [
+    (mode, rate) for mode in (sn.SCRAMBLED_HADAMARD, sn.COMPLEX_NOISELET) for rate in (0.4, 0.6)])
+
+
+def _faults_per_iteration(mode, rate, long, short, malloc_tunables=None):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+        pytest.skip("no minor-fault count on this platform")
+    package_root = str(Path(sv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    if malloc_tunables:
+        env["GLIBC_TUNABLES"] = malloc_tunables
+    child = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_ITERATION, mode, str(rate), str(long), str(short)],
+        capture_output=True, text=True, env=env, check=True)
+    return float(child.stdout)
+
+
+@HEAP_CASES
+def test_loop_takes_no_new_pages(mode, rate):
+    assert _faults_per_iteration(mode, rate, 150, 50) <= 20
+
+
+@HEAP_CASES
+def test_loop_makes_no_new_large_temporaries(mode, rate):
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the pinned allocator settings are glibc tunables")
+    assert _faults_per_iteration(mode, rate, 30, 10, _PINNED_MALLOC) <= 2000
