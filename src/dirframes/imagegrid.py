@@ -202,8 +202,12 @@ def read_pgm(path):
 
 
 def write_pgm(img, path):
-    """Write a [0, 1] image as binary 8-bit PGM (round-half-up quantization)."""
+    """Write a [0, 1] image as binary 8-bit PGM (round-half-up quantization).
+
+    Raises ``ValueError`` for a value outside [0, 1] or not finite."""
     img = _check_image(img)
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image values must be finite")
     if img.min() < -1e-9 or img.max() > 1 + 1e-9:
         raise ValueError("image values must lie in [0, 1]")
     q = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)

@@ -17,26 +17,34 @@ N_n = W ⊗ N_h with h = n/2.  Split x into halves x0 = x[:h], x1 = x[h:]:
 
     N_n x = [N_h (a x0 + b x1);  N_h (b x0 + a x1)],
 
-so the kept first half is N_h (a x0 + b x1).  Its input is formed with
-real arithmetic as (x0 + x1)/2 + i (x1 - x0)/2, the same bits as the
-complex products, since halving a normal number is exact.  The adjoint is
-N_n^H = W^H ⊗ N_h^H with W^H = [[b, a], [a, b]] (conj(a) = b), so on an
-input whose second half is zero, N_n^H [w; 0] = [b u; a u] with
-u = N_h^H w.  Its real part is
-Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2.  The results equal
-the full-length computation up to rounding: a few ulp, at most 1.8e-15 on a
-unit-variance input at n = 2^16.
+so the kept first half is N_h (a x0 + b x1).  Since b = i a, that is
+N_h (a c) with c = x0 + i x1, and c takes no arithmetic: the gather reads
+x[j] and x[j + h] side by side, so the gathered row read as complex is c.
+The adjoint is N_n^H = W^H ⊗ N_h^H with W^H = [[b, a], [a, b]]
+(conj(a) = b), so on an input whose second half is zero,
+N_n^H [w; 0] = [b u; a u] with u = N_h^H w, whose real part is
+(Re(b u), Re(a u)) = (Re(b u), Im(b u)): b u read as real pairs holds the
+(x0, x1) entries side by side, where the pair gather read them.  The
+results equal the full-length computation up to rounding: a few ulp, at
+most 1.8e-15 on a unit-variance input at n = 2^16.
+
+So both modes run one path.  A pass starts with one gather, ``_gather``:
+the scrambling permutation in Hadamard mode (with the sign flip carried in
+gathered order, as (x * s)[p] = x[p] * s[p]), the pair order
+``arange(n).reshape(2, -1).T.ravel()`` in noiselet mode.  ``forward`` then
+multiplies by a pre-factor (the gathered signs, or a) and runs one
+butterfly.  The adjoint runs one butterfly, multiplies by a first factor
+(the scale 1/sqrt(n), or b), reads the result as float64, multiplies by a
+second factor (the signs, or sqrt(2)) and ends with one gather through the
+inverse index, ``_scatter``, which moves the same values as the scatter
+``out[_gather] = v`` at about half its cost.  A mode is the dtype its
+butterflies run in, its factors and its kernels' names, set once.
 
 An operator can read its input in any fixed order: ``in_order(q)`` returns
 the operator whose ``forward(u)`` is ``forward(u[q])`` and whose adjoint
-returns its output in that order too.  Every pass starts with one gather,
-``_gather``: the scrambling permutation in Hadamard mode (with the sign flip
-carried in gathered order, as (x * s)[p] = x[p] * s[p]), the identity in
-noiselet mode.  Every adjoint ends with one gather through the inverse
-index, ``_scatter``, which moves the same values as the scatter
-``out[_gather] = v`` at about half its cost.  Relabeling composes q into
-the gather, ``q[_gather]``, and inverts that afresh.  The solver relabels
-its operator once, by the block-stack positions of the column-major image
+returns its output in that order too.  Relabeling composes q into the
+gather, ``q[_gather]``, and inverts that afresh.  The solver relabels its
+operator once, by the block-stack positions of the column-major image
 vector, so it senses its stack of blocks with no layout copy; it is the
 only operator the solver relabels.  The results are bit-identical to
 gathering first and then applying the operator, because each step is a
@@ -71,7 +79,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import fwht, noiselet, noiselet_adjoint
+# _A and _B are a and b of the noiselet stage W = [[a, b], [b, a]]
+from .backend import _A, _B, fwht, noiselet, noiselet_adjoint
 
 __all__ = [
     "MAX_SIGNAL_LENGTH",
@@ -126,11 +135,11 @@ class MeasurementOperator:
     """Row-subsampled orthonormal fast transform, reproducible from a seed.
 
     Every pass first gathers its input through one index, ``_gather``: the
-    scrambling permutation in Hadamard mode, the identity in noiselet mode,
-    composed with any input order set by :meth:`in_order`.  Every adjoint
-    pass ends with a gather through its inverse, ``_scatter``.  The passes
-    run in the operator's workspace, so an operator must not be called
-    from two threads at once.
+    scrambling permutation in Hadamard mode, the pair order in noiselet
+    mode, composed with any input order set by :meth:`in_order`.  Every
+    adjoint pass ends with a gather through its inverse, ``_scatter``.  The
+    passes run in the operator's workspace, so an operator must not be
+    called from two threads at once.
     """
 
     def __init__(self, n, rate, seed, mode=SCRAMBLED_HADAMARD):
@@ -155,14 +164,18 @@ class MeasurementOperator:
         )
         if mode == SCRAMBLED_HADAMARD:
             # (x * signs)[perm] = x[perm] * signs[perm]: the sign flip rides
-            # on the gather, in gathered order
+            # on the gather, in gathered order, held once for both passes
             perm = _stream(seed, _STREAM_PERM).permutation(self.n)
-            signs = np.where(_stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)
-            self._signs = signs[perm]
+            signs = np.where(_stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)[perm]
             self._scale = 1.0 / np.sqrt(self.n)
+            self._dtype, self._kernels = np.float64, ("fwht", "fwht")
+            self._factors = (signs, self._scale, signs)
         else:
-            perm = np.arange(self.n)
+            # x[j] and x[j + n/2] side by side: read as complex, x0 + i x1
+            perm = np.arange(self.n).reshape(2, -1).T.ravel()
             self._scale = _SQRT2
+            self._dtype, self._kernels = np.complex128, ("noiselet", "noiselet_adjoint")
+            self._factors = (_A, _B, _SQRT2)
         self._set_gather(perm)
 
     def in_order(self, q):
@@ -202,23 +215,14 @@ class MeasurementOperator:
     def _transform(self, x):
         """The full transform of x before its scale, as a view of the
         workspace: the callers copy out the rows they keep."""
-        w = self._work
-        if self.mode == SCRAMBLED_HADAMARD:
-            # mode="clip" lets take write straight into its output; every
-            # index is in range, so nothing is clipped
-            v = np.take(x, self._gather, out=w[0], mode="clip")
-            v *= self._signs
-            return fwht(v, w[1])
-        # a x0 + b x1 = (x0 + x1)/2 + i (x1 - x0)/2, formed in w[0] viewed
-        # as the interleaved (real, imag) pairs: the same bits as the
-        # complex products, with no complex temporaries
-        half = self.n // 2
-        v = np.take(x, self._gather, out=w[1], mode="clip")
-        np.add(v[:half], v[half:], out=w[0, 0::2])
-        np.subtract(v[half:], v[:half], out=w[0, 1::2])
-        w[0] *= 0.5
-        # the complex memory layout is the interleaved (real, imag) output
-        return noiselet(w[0].view(np.complex128), w[1].view(np.complex128)).view(np.float64)
+        w = self._work.view(self._dtype)
+        # mode="clip" lets take write straight into its output; every index
+        # is in range, so nothing is clipped
+        np.take(x, self._gather, out=self._work[0], mode="clip")
+        w[0] *= self._factors[0]
+        # the kernel is looked up by name at call time, where a tracer may
+        # have wrapped it
+        return globals()[self._kernels[0]](w[0], w[1]).view(np.float64)
 
     def _inverse(self):
         """Transpose of the full transform of the workspace's first row, in
@@ -226,20 +230,11 @@ class MeasurementOperator:
         forward gather, into a fresh vector.  A gather through the inverse
         of a permutation moves the same values as the scatter
         ``out[_gather] = v``, so the bytes are the same."""
-        w = self._work
-        if self.mode == SCRAMBLED_HADAMARD:
-            v = fwht(w[0], w[1])
-            v *= self._scale
-            v *= self._signs
-        else:
-            # Re(b u) = (Re u - Im u)/2 and Re(a u) = (Re u + Im u)/2,
-            # written to whichever row does not hold u
-            half = self.n // 2
-            u = noiselet_adjoint(w[0].view(np.complex128), w[1].view(np.complex128))
-            v = w[0] if np.may_share_memory(u, w[1]) else w[1]
-            np.subtract(u.real, u.imag, out=v[:half])
-            np.add(u.real, u.imag, out=v[half:])
-            v *= 0.5 * _SQRT2
+        w = self._work.view(self._dtype)
+        v = globals()[self._kernels[1]](w[0], w[1])
+        v *= self._factors[1]
+        v = v.view(np.float64)
+        v *= self._factors[2]
         return v[self._scatter]
 
     def full_transform(self, x):

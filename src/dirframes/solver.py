@@ -27,8 +27,12 @@ fold into one gather, and its adjoint into one gather through the inverse
 index.  ``DiffOperator`` reads the stack natively and forms ``W D`` only on
 the block ring, where W is 1 (K = L (4M - 4) pixels, 28 of 64 at M = 8), so
 the l1,2 dual runs on (2, K) ring pairs and never on the zeros W would
-make; its apply is gathers, and its adjoint one gather and one
-``np.bincount`` scatter, the exact transpose.  The loop makes no layout
+make.  It holds one index table and one buffer of its length (1.8 MB
+together at 256 x 256, M = 8): the pair's columns are the ring pixels
+grouped as vertical-only, both, horizontal-only, neither, so the formed
+differences are two ranges; its apply is one gather through the table,
+and its adjoint one ``np.bincount`` scatter through the same table, the
+exact transpose.  The loop makes no layout
 copy: the truth image is converted once, for the PSNR trace, and the
 result once, on return.  Every step is a permutation of the image-ordered
 computation or the same elementwise arithmetic, so the image bytes are
@@ -48,8 +52,8 @@ and the adjoint one chunk of ``frame.chunk`` blocks at a time, writing
 gradient starts.  So no (L, n_out) coefficient array is made.  The other
 two adjoints are made at the start of the next iteration, one at a time,
 each added and freed before the next: with the sensing passes in their
-operator's held workspace (see ``sensing``) and the seam adjoint's gather
-in a buffer that ``DiffOperator`` holds, the heap then stays flat across
+operator's held workspace (see ``sensing``) and the seam passes in the
+buffer that ``DiffOperator`` holds, the heap then stays flat across
 iterations instead of growing and trimming, which cost a 256 x 256
 noiselet solve about 530 minor page faults per iteration.  (Steps that
 return their adjoints at once keep two (L, M, M) arrays alive across the
@@ -202,18 +206,25 @@ class DiffOperator:
     differences are never formed.
 
     The operator reads the (L, M, M) block stack of an (H, W) image, as the
-    frame does, and nothing else: its indices are built once from the stack
-    positions of the image's pixels.  ``apply(u)`` returns the (2, K)
-    stacked pair ``u[down] - u[self]`` (vertical) and ``u[right] - u[self]``
-    (horizontal) for the ring pixels ``self`` in row-major image order, where
-    ``down`` and ``right`` are ``self`` on the last row and column, so those
-    differences are exactly 0.  ``adjoint(z)`` is its exact transpose, an
-    (L, M, M) stack: one table lists every formed difference twice, as the
-    stack position it adds to (``into``) and the pair entry it reads
-    (``from``), and ``np.bincount`` sums each pixel's entries in table
-    order, ``(((0 + zv[up]) - zv[self]) + zh[left]) - zh[self]``.  The
-    entries are gathered into a buffer the operator holds, so one operator
-    is not safe for concurrent calls from several threads.
+    frame does, and nothing else: its one index table, ``_into``, is built
+    once from the stack positions of the image's pixels.  ``apply(u)``
+    returns the (2, K) stacked pair ``u[down] - u[self]`` (vertical) and
+    ``u[right] - u[self]`` (horizontal).  Its columns are the ring pixels
+    grouped as vertical-only, both, horizontal-only, neither (by which
+    differences are formed: none on the image's last row is vertical, none
+    on its last column horizontal), in row-major image order within each
+    group, so the formed vertical differences are one range of columns and
+    the horizontal ones another; the rest are exactly 0.  ``_into`` lists
+    the stack positions each formed difference reads, in four segments:
+    ``down`` and ``self`` of the vertical range, ``right`` and ``self`` of
+    the horizontal one.  ``apply`` gathers through it and subtracts the
+    segments; ``adjoint(z)``, its exact transpose as an (L, M, M) stack,
+    writes the ranges of z and their negatives in the same layout and
+    ``np.bincount`` sums each pixel's entries in segment order,
+    ``(((0 + zv[up]) - zv[self]) + zh[left]) - zh[self]``.  Both passes
+    run in one buffer of the table's length that the operator holds (with
+    the table, 1.8 MB at 256 x 256, M = 8), so one operator is not safe
+    for concurrent calls from several threads.
     """
 
     def __init__(self, shape, block_size):
@@ -228,40 +239,41 @@ class DiffOperator:
         tile = np.ones((M, M), dtype=bool)
         tile[1 : M - 1, 1 : M - 1] = False
         ring = np.tile(tile, (H // M, W // M))
-        self.ring_size = K = int(np.count_nonzero(ring))
+        self.ring_size = int(np.count_nonzero(ring))
         pixels = _stack_positions(M, H // M, W // M)
-        self._ring = pixels[ring]
-        self._down = np.vstack((pixels[1:], pixels[-1:]))[ring]
-        self._right = np.hstack((pixels[:, 1:], pixels[:, -1:]))[ring]
-        # the adjoint's table, by segment: vertical end, vertical start,
-        # horizontal end, horizontal start; the start segments are negated
-        vertical = np.flatnonzero(self._down != self._ring)
-        horizontal = np.flatnonzero(self._right != self._ring)
-        self._into = np.concatenate((self._down[vertical], self._ring[vertical],
-                                     self._right[horizontal], self._ring[horizontal]))
-        self._from = np.concatenate((vertical, vertical, K + horizontal, K + horizontal))
-        self._starts = (slice(vertical.size, 2 * vertical.size),
-                        slice(2 * vertical.size + horizontal.size, None))
-        self._weights = np.empty(self._from.size)
+        at = pixels[ring]
+        down = np.vstack((pixels[1:], pixels[-1:]))[ring]
+        right = np.hstack((pixels[:, 1:], pixels[:, -1:]))[ring]
+        v, h = down != at, right != at
+        # vertical-only, both, horizontal-only, neither
+        group = np.argsort(2 * ~v + (v == h), kind="stable")
+        at, down, right = at[group], down[group], right[group]
+        nv, nh, first_h = (int(np.count_nonzero(c)) for c in (v, h, v & ~h))
+        self._ranges = vert, horz = slice(0, nv), slice(first_h, first_h + nh)
+        self._into = np.concatenate((down[vert], at[vert], right[horz], at[horz]))
+        # the (end, start) segments of _into that each range reads
+        self._segments = ((slice(0, nv), slice(nv, 2 * nv)),
+                          (slice(2 * nv, 2 * nv + nh), slice(2 * nv + nh, None)))
+        self._weights = np.empty(self._into.size)
 
     def apply(self, u):
         u = np.asarray(u, dtype=np.float64)
         if u.shape != self.stack_shape:
             raise ValueError(f"expected the {self.stack_shape} block stack, got {u.shape}")
-        u = u.reshape(-1)
-        at = u[self._ring]
-        out = np.empty((2, self.ring_size))
-        np.subtract(u[self._down], at, out=out[0])
-        np.subtract(u[self._right], at, out=out[1])
+        w = np.take(u.reshape(-1), self._into, out=self._weights, mode="clip")
+        out = np.zeros((2, self.ring_size))
+        for row, cols, (end, start) in zip(out, self._ranges, self._segments):
+            np.subtract(w[end], w[start], out=row[cols])
         return out
 
     def adjoint(self, z):
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (2, self.ring_size):
             raise ValueError(f"expected (2, {self.ring_size}), got {z.shape}")
-        w = np.take(z.reshape(-1), self._from, out=self._weights, mode="clip")
-        for start in self._starts:
-            np.negative(w[start], out=w[start])
+        w = self._weights
+        for row, cols, (end, start) in zip(z, self._ranges, self._segments):
+            w[end] = row[cols]
+            np.negative(row[cols], out=w[start])
         return np.bincount(self._into, w, minlength=self.n).reshape(self.stack_shape)
 
 
@@ -278,14 +290,6 @@ class SolverConfig:
 
     def resolved_gamma2(self):
         return 1.0 / (12.0 * self.gamma1) if self.gamma2 is None else self.gamma2
-
-    def to_json_dict(self):
-        return {
-            "gamma1": self.gamma1,
-            "gamma2": self.resolved_gamma2(),
-            "stop_tol": self.stop_tol,
-            "max_iters": self.max_iters,
-        }
 
 
 @dataclass
@@ -481,6 +485,9 @@ def solve(problem, config=None, truth=None):
     eps = problem.resolved_epsilon()
     if not (np.isfinite(eps) and eps >= 0):
         raise ValueError(f"epsilon must be a finite number >= 0, got {eps}")
+    for field in ("gamma1", "gamma2", "stop_tol", "max_iters"):
+        if isinstance(getattr(config, field), (bool, np.bool_)):
+            raise ValueError(f"{field} must be a number, not a boolean")
     g1 = float(config.gamma1)
     g2 = float(config.resolved_gamma2())
     if not (np.isfinite(g1) and np.isfinite(g2)):

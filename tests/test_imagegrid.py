@@ -146,3 +146,14 @@ def test_read_pgm_rejects_bad_files(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         ig.write_pgm(np.full((4, 4), 1.5), tmp_path / "bad.pgm")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_pgm_rejects_non_finite(tmp_path, value):
+    # a NaN fails no range comparison, and its cast to uint8 is undefined
+    img = np.full((4, 4), 0.5)
+    img[1, 2] = value
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        ig.write_pgm(img, path)
+    assert not path.exists()

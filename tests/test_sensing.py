@@ -237,6 +237,21 @@ def test_operator_matches_seeded_definition(mode):
     assert op.forward(x).tobytes() == full[op.sample_indices].tobytes()
 
 
+def test_noiselet_adjoint_matches_definition():
+    # the adjoint, bit for bit, against its definition: the measurements
+    # embedded at the sampled rows, read as pairs w = z[0::2] + i z[1::2],
+    # give sqrt(2) * [Re(b u); Re(a u)] with u = N_h^H w
+    n = 1024
+    op = sensing.MeasurementOperator(n, rate=0.3, seed=21, mode=sensing.COMPLEX_NOISELET)
+    y = np.random.Generator(np.random.Philox(key=[n, 0xADE])).standard_normal(op.m)
+    z = np.zeros(n)
+    z[op.sample_indices] = y
+    u = backend.noiselet_adjoint(z[0::2] + 1j * z[1::2])
+    a, b = 0.5 - 0.5j, 0.5 + 0.5j
+    want = np.sqrt(2.0) * np.concatenate(((b * u).real, (a * u).real))
+    assert op.adjoint(y).tobytes() == want.tobytes()
+
+
 def test_operator_measurement_count():
     op = sensing.MeasurementOperator(1024, rate=0.3, seed=0)
     assert op.m == round(0.3 * 1024)

@@ -157,18 +157,30 @@ RING_SHAPES = [((4, 6), 2), ((16, 8), 4), ((24, 16), 8), ((64, 32), 8), ((32, 64
                ((64, 64), 32)]
 
 
+def _ring_columns(shape, ring):
+    """The documented column order of the (2, K) pair: the ring pixels
+    (row-major) grouped as vertical-only, both, horizontal-only, neither,
+    by which differences are formed, row-major within each group."""
+    H, W = shape
+    rows, cols = np.nonzero(ring)
+    v, h = rows < H - 1, cols < W - 1
+    key = np.where(v, np.where(h, 1, 0), np.where(h, 2, 3))
+    return np.argsort(key, kind="stable")
+
+
 @pytest.mark.parametrize("shape, M", RING_SHAPES)
 def test_ring_diff_matches_masked_oracle(shape, M):
     # bit for bit on the block stack: the ring operator is the masked one
-    # restricted to the ring
+    # restricted to the ring, in the documented column order
     H, W = shape
     d = sv.DiffOperator(shape, M)
     oracle = _MaskedDiff(shape, M)
     ring = oracle.mask.astype(bool)
     assert d.ring_size == int(ring.sum())
+    columns = _ring_columns(shape, ring)
     rng = _rng(30 + M)
     x = rng.standard_normal(shape)
-    want_apply = oracle.apply(x)[:, ring]
+    want_apply = oracle.apply(x)[:, ring][:, columns]
     u = ig.to_blocks(x, M).blocks
     assert d.apply(u).tobytes() == want_apply.tobytes()
     # random values, and random signed zeros: the sums start from +0 as the
@@ -177,7 +189,9 @@ def test_ring_diff_matches_masked_oracle(shape, M):
     signed_zeros = np.copysign(0.0, rng.standard_normal((2, d.ring_size)))
     for z in (values, signed_zeros):
         full = np.zeros((2, H, W))
-        full[:, ring] = z
+        on_ring = np.empty_like(z)
+        on_ring[:, columns] = z
+        full[:, ring] = on_ring
         want_adjoint = ig.to_blocks(oracle.adjoint(full), M).blocks
         assert d.adjoint(z).tobytes() == want_adjoint.tobytes()
 
@@ -323,8 +337,6 @@ def test_config_default_step_sizes():
     np.testing.assert_allclose(cfg.resolved_gamma2(), 1.0 / (12 * 0.01))
     cfg2 = sv.SolverConfig(gamma1=0.02, gamma2=3.0)
     assert cfg2.resolved_gamma2() == 3.0
-    d = cfg.to_json_dict()
-    assert set(d) == {"gamma1", "gamma2", "stop_tol", "max_iters"}
 
 
 def test_solve_rejects_bad_step_sizes():
@@ -351,6 +363,18 @@ def test_solve_rejects_bad_config(field, value, message):
     obs = sn.sense_image(img, 0.5, 0.0, seed=2)
     prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
     with pytest.raises(ValueError, match=message):
+        sv.solve(prob, sv.SolverConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("field", ["gamma1", "gamma2", "stop_tol", "max_iters"])
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["true", "false", "numpy-true"])
+def test_solve_rejects_boolean_config(field, value):
+    # a boolean is not a number of iterations or a step size, as
+    # `recover --config` already holds
+    img = ig.block_mosaic(16, seed=0)
+    obs = sn.sense_image(img, 0.5, 0.0, seed=2)
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs)
+    with pytest.raises(ValueError, match=field):
         sv.solve(prob, sv.SolverConfig(**{field: value}))
 
 
@@ -749,9 +773,10 @@ def test_solve_converts_layout_only_at_the_ends(monkeypatch, rho, iters):
 # So the second test pins the thresholds (mmap threshold 32 KiB, no trim
 # threshold, no top pad): every fresh array of 32 KiB or more is then mapped
 # anew, and the count is the pages of the loop's fresh temporaries, the same
-# in every run: 1912 and 1933 at rates 0.4 and 0.6 in both modes (numpy
-# 2.4), 2135 and 2156 with the unbuffered `bincount`.  One more image-sized
-# temporary (128 pages at 256x256) per iteration breaks its bound.
+# in every run: 1741 and 1762 at rates 0.4 and 0.6 in both modes (numpy
+# 2.4), 1964 and 1985 with a fresh weights array in every seam adjoint.
+# One more image-sized temporary (128 pages at 256x256) per iteration
+# breaks its bound too.
 
 _FAULTS_PER_ITERATION = """
 import resource, sys
@@ -804,4 +829,4 @@ def test_loop_takes_no_new_pages(mode, rate):
 def test_loop_makes_no_new_large_temporaries(mode, rate):
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the pinned allocator settings are glibc tunables")
-    assert _faults_per_iteration(mode, rate, 30, 10, _PINNED_MALLOC) <= 2000
+    assert _faults_per_iteration(mode, rate, 30, 10, _PINNED_MALLOC) <= 1850
