@@ -12,8 +12,9 @@ report     aggregate recover reports into a summary CSV
 Exit codes: 0 success, 1 invariant failure, 2 bad arguments, 3 I/O failure,
 4 solver divergence.  Every artifact-producing command writes a JSON manifest
 next to its outputs; all randomness flows from explicit seeds, so re-running
-a command at a fixed BLAS thread count reproduces its artifacts byte-for-byte
-(a different thread count can change the rounding of ``recover``'s image).
+a command reproduces its artifacts byte-for-byte at any BLAS thread count,
+except ``recover`` and ``decompose`` with the pyramid family at M <= 16,
+whose frame product a different thread count can round differently.
 """
 
 from __future__ import annotations
@@ -468,9 +469,7 @@ def cmd_recover(args):
         if truth is None:
             raise _CliError(EXIT_USAGE, "--epsilon-oracle requires --truth")
         meas = obs.operator()
-        epsilon = float(
-            np.linalg.norm(meas.forward(truth.reshape(-1, order="F")) - obs.y)
-        )
+        epsilon = solver._norm(meas.forward(truth.reshape(-1, order="F")) - obs.y)
 
     problem = solver.ProblemSpec(
         frame=op,

@@ -15,7 +15,11 @@ J. Math. Imaging Vis. 40, 2011; Condat, JOTA 158, 2013): a gradient step on
 the primal followed by the box projection, then dual ascent steps through the
 conjugate proxes in closed form.  The l1 dual is clipped to [-1, 1], the
 l1,2 dual is scaled pixel by pixel into the ball of radius rho, and the data
-dual goes through the Moreau identity with the ball projection.
+dual is the shrink u * max(0, 1 - gamma * eps / ||u||) of u = z + gamma *
+(Phi xb - y).  Equality is the ball of radius 0, whose factor is exactly 1.
+Every norm that decides an output byte (the data step, the fidelity gap and
+the loop's residual) is numpy's own loop, ``_norm``, not a BLAS call, so no
+norm makes the bytes depend on the BLAS thread count.
 
 The primal iterate, its gradient and the extrapolated point are kept as the
 (L, M, M) stack of blocks in raster order that ``FrameOperator.analyze_blocks``
@@ -140,7 +144,8 @@ def prox_l12(v, gamma, group_size=2):
 
 
 def project_ball(v, center, radius):
-    """Projection onto the l2 ball of given center and radius."""
+    """Projection onto the l2 ball of given center and radius: the reference
+    that the tests compare ``dual_data``'s closed form against."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     v = np.asarray(v, dtype=np.float64)
@@ -159,8 +164,14 @@ def project_ball(v, center, radius):
 # overwritten with the update.  By the Moreau identity
 # prox_{gamma f*}(v) = v - gamma * prox_{f / gamma}(v / gamma), the l1 and
 # l1,2 updates are the projections onto the conjugates' domains (the unit box
-# and the radius-rho pixel disks), and the data update goes through the
-# projection onto the data set.
+# and the radius-rho pixel disks), and the data update is the same identity
+# for the ball ||v - y|| <= r written out.
+
+
+def _norm(v):
+    """||v|| of a vector by numpy's own loop: no BLAS call, whose threads may
+    round it differently, and no temporary."""
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
 def dual_l1(z, a, gamma):
@@ -183,14 +194,19 @@ def dual_l12(z, a, gamma, rho):
     return a
 
 
-def dual_data(z, a, gamma, y, eps, mode):
-    """Data dual step: t - gamma * P(t / gamma) with t = z + gamma * a and P
-    the projection onto the ball ||u - y|| <= eps (or onto {y})."""
+def dual_data(z, a, gamma, y, radius):
+    """Data dual step for the ball ||v - y|| <= radius, computed in ``a``:
+    with t = z + gamma * a, t - gamma * P(t / gamma) is u - P_0(u) for
+    u = t - gamma * y and P_0 the projection onto the ball of radius
+    gamma * radius around 0, so u * (1 - gamma * radius / ||u||) when
+    ||u|| > gamma * radius, else 0.  Radius 0 is equality, v = y: the
+    factor is then exactly 1."""
     a *= gamma
     a += z
-    if mode == FIDELITY_L2BALL:
-        return a - gamma * project_ball(a / gamma, y, eps)
-    return a - gamma * y
+    a -= gamma * y
+    norm = _norm(a)
+    a *= 1.0 - gamma * radius / norm if norm > gamma * radius else 0.0
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +441,37 @@ def _terms(problem):
     """The problem's terms in the order their adjoints are summed: the frame,
     the data (whose value is the fidelity gap), and the seams when rho > 0.
     Sensing and the seam differences both read the block stack, through
-    one map of stack positions."""
+    one map of stack positions.  Raises ``ValueError`` on a problem outside
+    its domain, so ``solve`` and ``objective_terms`` accept the same ones."""
     obs, frame = problem.observation, problem.frame
     M = frame.block_size
+    if obs.height % M or obs.width % M:
+        raise ValueError(f"image {obs.height}x{obs.width} not a multiple of block size {M}")
+    if problem.fidelity_mode not in (FIDELITY_L2BALL, FIDELITY_EQUALITY):
+        raise ValueError(f"unknown fidelity mode {problem.fidelity_mode!r}")
+    for field in ("rho", "epsilon"):
+        if isinstance(getattr(problem, field), (bool, np.bool_)):
+            raise ValueError(f"{field} must be a number, not a boolean")
+    rho, eps = float(problem.rho), problem.resolved_epsilon()
+    for field, value in (("rho", rho), ("epsilon", eps)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{field} must be a finite number >= 0, got {value}")
+    # equality is the ball of radius 0
+    radius = eps if problem.fidelity_mode == FIDELITY_L2BALL else 0.0
     stack = (obs.n // (M * M), M, M)
     order = _stack_positions(M, obs.height // M, obs.width // M).ravel(order="F")
     meas = obs.operator().in_order(order)
     y = np.asarray(obs.y, dtype=np.float64)
-    eps, mode, rho = problem.resolved_epsilon(), problem.fidelity_mode, float(problem.rho)
 
     def fidelity_gap(u):
-        resid = float(np.linalg.norm(meas.forward(u.reshape(-1)) - y))
-        return max(0.0, resid - eps) if mode == FIDELITY_L2BALL else resid
+        return max(0.0, _norm(meas.forward(u.reshape(-1)) - y) - radius)
 
     terms = [
         _Term("l1", 1.0, (stack[0], frame.n_out), partial(_frame_step, frame),
               lambda z, xb: xb,
               lambda u: float(np.abs(frame.analyze_blocks(u).ravel()).sum())),
         _Term("fidelity_gap", 1.0, (obs.measurement_count,),
-              lambda z, xb, gamma: dual_data(z, meas.forward(xb.reshape(-1)), gamma, y, eps, mode),
+              lambda z, xb, gamma: dual_data(z, meas.forward(xb.reshape(-1)), gamma, y, radius),
               lambda z, xb: meas.adjoint(z).reshape(stack), fidelity_gap),
     ]
     if rho > 0:
@@ -472,19 +500,6 @@ def solve(problem, config=None, truth=None):
     """
     if config is None:
         config = SolverConfig()
-    obs = problem.observation
-    M = problem.frame.block_size
-    H, W = obs.height, obs.width
-    if H % M or W % M:
-        raise ValueError(f"image {H}x{W} not a multiple of block size {M}")
-    if problem.fidelity_mode not in (FIDELITY_L2BALL, FIDELITY_EQUALITY):
-        raise ValueError(f"unknown fidelity mode {problem.fidelity_mode!r}")
-    rho = float(problem.rho)
-    if not (np.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be a finite number >= 0, got {rho}")
-    eps = problem.resolved_epsilon()
-    if not (np.isfinite(eps) and eps >= 0):
-        raise ValueError(f"epsilon must be a finite number >= 0, got {eps}")
     for field in ("gamma1", "gamma2", "stop_tol", "max_iters"):
         if isinstance(getattr(config, field), (bool, np.bool_)):
             raise ValueError(f"{field} must be a number, not a boolean")
@@ -501,6 +516,11 @@ def solve(problem, config=None, truth=None):
     if not (float(max_iters).is_integer() and max_iters >= 1):
         raise ValueError(f"max_iters must be a whole number >= 1, got {max_iters!r}")
 
+    # the iterate is the (L, M, M) block stack that the frame reads and writes
+    terms = _terms(problem)
+    obs = problem.observation
+    M = problem.frame.block_size
+    H, W = obs.height, obs.width
     r, c = H // M, W // M
     L = r * c
     if truth is not None:
@@ -508,8 +528,6 @@ def solve(problem, config=None, truth=None):
         # psnr is a mean over pixels, so it reads the truth in block order too
         truth = to_blocks(truth, M).blocks.reshape(L, M * M)
 
-    # the iterate is the (L, M, M) block stack that the frame reads and writes
-    terms = _terms(problem)
     # certified bound on ||L||^2; see the module docstring
     op_norm_sq = sum(term.bound for term in terms)
     if g1 * g2 * op_norm_sq > 1.0 + 1e-9:
@@ -541,7 +559,7 @@ def solve(problem, config=None, truth=None):
         for i in reversed(range(len(terms))):
             duals[i] = terms[i].step(duals[i], xb, g2)
 
-        res = float(np.linalg.norm(np.subtract(x_new, x, out=x)))
+        res = _norm(np.subtract(x_new, x, out=x).reshape(-1))
         residuals.append(res)
         if psnr_history is not None:
             psnr_history.append(psnr(truth, x_new.reshape(L, M * M)))
@@ -559,7 +577,7 @@ def solve(problem, config=None, truth=None):
         op_norm_sq=op_norm_sq,
         gamma1=g1,
         gamma2=g2,
-        epsilon=eps,
+        epsilon=problem.resolved_epsilon(),
         stop_reason=stop_reason,
         psnr_history=np.array(psnr_history) if psnr_history is not None else None,
         final_psnr=psnr_history[-1] if psnr_history else None,
@@ -571,16 +589,18 @@ def objective_terms(problem, x):
     """Evaluate the objective pieces at an image (for oracle comparisons).
 
     Returns a dict with the l1 analysis term, the weighted difference term,
-    the data-fidelity gap max(0, ||Phi x - y|| - eps) (distance past the
-    constraint for the ball mode; plain residual norm for equality mode) and
-    the box violation.  All but the box violation are the values of the
-    term records that ``solve`` runs.  An image not of the observation's
-    shape raises ``ValueError``.
+    the data-fidelity gap max(0, ||Phi x - y|| - radius) (the radius is eps
+    in ball mode and 0 in equality mode, where the gap is the residual
+    norm) and the box violation.  All but the box violation are the values
+    of the term records that ``solve`` runs.  An image not of the
+    observation's shape, or a problem that ``solve`` rejects, raises
+    ``ValueError``.
     """
     obs = problem.observation
     x = _image_of_shape(x, (obs.height, obs.width), "scored image")
+    terms = _terms(problem)
     blocks = to_blocks(x, problem.frame.block_size).blocks
-    values = {term.name: term.value(blocks) for term in _terms(problem)}
+    values = {term.name: term.value(blocks) for term in terms}
     l1, l12 = values["l1"], values.get("l12", 0.0)
     return {"l1": l1, "l12": l12, "objective": l1 + float(problem.rho) * l12,
             "fidelity_gap": values["fidelity_gap"],
