@@ -1,9 +1,18 @@
 """The sensing transforms: Walsh-Hadamard and noiselet butterflies.
 
 All three are Kronecker powers of a 2x2 stage, applied by the one numpy
-kernel in ``_kernels_py``.  ``backend_name`` and ``HAVE_COMPILED`` stay for
-callers that record which kernel made a result; there is only this one, so
-they always read ``"python"`` and ``False``.
+kernel in ``_kernels_py``: radix-16 groups of stages from the low index bits
+up, the short leftover group on top, each group as matrix products.  The
+float64 ``fwht`` keeps the index order fixed, each group one batched
+``np.matmul`` along its own bits, and no BLAS call writes more than
+``_kernels_py._CALL_FLOATS`` = 2^15 entries, which keeps dgemm on
+OpenBLAS's small-matrix kernels; the complex noiselets write each group's
+product transposed, rotating its bits to the top, because zgemm has no
+small-matrix win there.  The choice is by dtype alone, and both layouts
+give the same bytes (each entry is the same BLAS dot); the per-pass
+timings are in ``_kernels_py``.  ``backend_name`` and ``HAVE_COMPILED``
+stay for callers that record which kernel made a result; there is only
+this one, so they always read ``"python"`` and ``False``.
 
 Each transform takes an optional ``scratch`` vector of the input's length
 and dtype.  With one, the scratch and the input are both overwritten (or

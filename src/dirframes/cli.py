@@ -20,6 +20,8 @@ whose frame product a different thread count can round differently.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -89,6 +91,24 @@ def _blas_name():
         return "unknown"
 
 
+@functools.cache
+def _blas_core():
+    # the CPU kernel set that numpy's OpenBLAS picked at load (DYNAMIC_ARCH),
+    # looked up through numpy's extension module, which links the library;
+    # None where no *_get_corename* is exported
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def _write_manifest(path, command, args, inputs, outputs, t0):
     params = {
         k: v
@@ -104,6 +124,7 @@ def _write_manifest(path, command, args, inputs, outputs, t0):
             "environment": {
                 "numpy": np.__version__,
                 "blas": _blas_name(),
+                "blas_core": _blas_core(),
                 "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             },
             "parameters": params,

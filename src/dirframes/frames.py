@@ -183,6 +183,13 @@ class FrameOperator:
     tight, ``_synthesize``) hooks; the public methods live here only.  For
     M <= 16 analysis and adjoint apply the matrix of ``_analyze`` instead of
     the hooks, ``chunk`` blocks at a time (see the module docstring).
+
+    ``analyze_blocks`` and ``adjoint_blocks`` take an optional ``out``, a
+    writeable C-contiguous float64 array of the result's shape that does
+    not overlap the input (else ``ValueError``).  Each chunk's product is
+    written straight into its rows of ``out``, or of a fresh array without
+    one, and that array is returned: the same BLAS call either way, so the
+    same bytes.  For M > 16 the hooks' fresh results are copied in.
     """
 
     family = None
@@ -219,16 +226,14 @@ class FrameOperator:
             self._analysis = a
         return self._analysis
 
-    def analyze_blocks(self, blocks):
+    def analyze_blocks(self, blocks, out=None):
         blocks, squeeze = self._as_stack(blocks)
-        out = self._by_chunk(self._analyze_chunk, blocks, (self.n_out,))
-        return out[0] if squeeze else out
+        return self._by_chunk(self._analyze_chunk, blocks, (self.n_out,), squeeze, out)
 
-    def adjoint_blocks(self, coeffs):
+    def adjoint_blocks(self, coeffs, out=None):
         coeffs, squeeze = self._as_coeffs(coeffs)
         M = self.block_size
-        out = self._by_chunk(self._adjoint_chunk, coeffs, (M, M))
-        return out[0] if squeeze else out
+        return self._by_chunk(self._adjoint_chunk, coeffs, (M, M), squeeze, out)
 
     def synthesize_blocks(self, coeffs):
         coeffs, squeeze = self._as_coeffs(coeffs)
@@ -262,27 +267,35 @@ class FrameOperator:
             self._gemm.setflags(write=False)
         return self._gemm
 
-    def _by_chunk(self, apply, x, shape):
-        # apply to x one chunk of rows at a time, into a (len(x),) + shape
-        # array; a stack of at most one chunk is one call
-        if len(x) <= self.chunk:
-            return apply(x)
-        out = np.empty((len(x),) + shape)
+    def _by_chunk(self, apply, x, shape, squeeze, out):
+        # apply to x one chunk of rows at a time, each written into its rows
+        # of ``out`` or of a fresh array of the result's shape
+        want = shape if squeeze else (len(x),) + shape
+        if out is None:
+            out = np.empty(want)
+        elif (not isinstance(out, np.ndarray) or out.shape != want or out.dtype != np.float64
+              or not (out.flags.c_contiguous and out.flags.writeable)
+              or np.may_share_memory(out, x)):
+            raise ValueError(f"out must be a writeable contiguous float64 array of shape "
+                             f"{want} apart from the input")
+        rows = out.reshape((len(x),) + shape)
         for start in range(0, len(x), self.chunk):
-            out[start:start + self.chunk] = apply(x[start:start + self.chunk])
+            apply(x[start:start + self.chunk], rows[start:start + self.chunk])
         return out
 
-    def _analyze_chunk(self, blocks):
+    def _analyze_chunk(self, blocks, out):
         M = self.block_size
         if M <= _GEMM_MAX_BLOCK:
-            return blocks.reshape(-1, M * M) @ self._gemm_matrix().T
-        return self._analyze(blocks)
+            np.matmul(blocks.reshape(-1, M * M), self._gemm_matrix().T, out=out)
+        else:
+            out[...] = self._analyze(blocks)
 
-    def _adjoint_chunk(self, coeffs):
+    def _adjoint_chunk(self, coeffs, out):
         M = self.block_size
         if M <= _GEMM_MAX_BLOCK:
-            return (coeffs @ self._gemm_matrix()).reshape(-1, M, M)
-        return self._adjoint(coeffs)
+            np.matmul(coeffs, self._gemm_matrix(), out=out.reshape(-1, M * M))
+        else:
+            out[...] = self._adjoint(coeffs)
 
     def _as_stack(self, blocks):
         blocks = np.asarray(blocks, dtype=np.float64)

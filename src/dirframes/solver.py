@@ -49,12 +49,15 @@ step, its adjoint K_i^T z_i and its value f_i(K_i u).  ``solve`` gates on
 the sum of the bounds, sums the adjoints in the order of the records
 (frame, data, seams) and runs the steps in reverse, and ``objective_terms``
 reads the values.  The dual steps are ``dual_l1``, ``dual_l12`` and
-``dual_data``; each reuses its operator's fresh output as the accumulator.
-The frame's step goes last: ``_frame_step`` runs the analysis, ``dual_l1``
-and the adjoint one chunk of ``frame.chunk`` blocks at a time, writing
-``A^T z1`` over the extrapolated point, where the next iteration's
-gradient starts.  So no (L, n_out) coefficient array is made.  The other
-two adjoints are made at the start of the next iteration, one at a time,
+``dual_data``.  The frame's step goes last: ``_frame_step`` runs the
+analysis, ``dual_l1`` and the adjoint one chunk of ``frame.chunk`` blocks
+at a time.  Each chunk's analysis goes into one chunk-sized buffer that
+the term record holds for the solve, its dual over its rows of z1, and its
+adjoint ``A^T z1`` over its blocks of the extrapolated point, where the
+next iteration's gradient starts, through the frame methods' ``out=``.  For
+M <= 16 the frame step then makes no array and copies none.  The other
+two steps reuse their operator's fresh output as the accumulator.  Their
+adjoints are made at the start of the next iteration, one at a time,
 each added and freed before the next: with the sensing passes in their
 operator's held workspace (see ``sensing``) and the seam passes in the
 buffer that ``DiffOperator`` holds, the heap then stays flat across
@@ -160,8 +163,10 @@ def project_ball(v, center, radius):
 # ---------------------------------------------------------------------------
 # dual updates: prox of gamma * f* at z + gamma * a, in closed form
 #
-# Each takes the fresh output ``a`` of its operator and returns it,
-# overwritten with the update.  By the Moreau identity
+# The l12 and data steps take the fresh output ``a`` of their operator and
+# return it, overwritten with the update; the l1 step writes its update
+# over its dual ``z``, which the frame step holds in place, so that its
+# ``a`` can be one chunk's buffer.  By the Moreau identity
 # prox_{gamma f*}(v) = v - gamma * prox_{f / gamma}(v / gamma), the l1 and
 # l1,2 updates are the projections onto the conjugates' domains (the unit box
 # and the radius-rho pixel disks), and the data update is the same identity
@@ -175,10 +180,11 @@ def _norm(v):
 
 
 def dual_l1(z, a, gamma):
-    """l1 dual step: clip(z + gamma * a, -1, 1), computed in ``a``."""
+    """l1 dual step: clip(z + gamma * a, -1, 1), computed in ``z`` (``a``
+    is overwritten with gamma * a)."""
     a *= gamma
-    a += z
-    return np.clip(a, -1.0, 1.0, out=a)
+    z += a
+    return np.clip(z, -1.0, 1.0, out=z)
 
 
 def dual_l12(z, a, gamma, rho):
@@ -407,16 +413,20 @@ def check_truth_shape(truth, shape):
     return _image_of_shape(truth, shape, "truth image")
 
 
-def _frame_step(frame, z1, xb, gamma):
+def _frame_step(frame, coeffs, z1, xb, gamma):
     """The l1 dual step and the frame adjoint of its result, one chunk of
     blocks at a time (``frame.chunk``): ``z1 <- dual_l1(z1, A xb, gamma)``
-    in place and returned, and xb overwritten with ``A^T z1``.  No array of
-    the whole (L, n_out) coefficients is made."""
+    in place and returned, and xb overwritten with ``A^T z1``.  Each
+    chunk's analysis is written into ``coeffs``, a contiguous float64
+    (frame.chunk, n_out) array that the caller holds, its dual into its
+    rows of z1 and its adjoint into its blocks of xb, so for M <= 16 no
+    array is made."""
     step = frame.chunk
     for start in range(0, xb.shape[0], step):
         chunk = slice(start, start + step)
-        z1[chunk] = dual_l1(z1[chunk], frame.analyze_blocks(xb[chunk]), gamma)
-        xb[chunk] = frame.adjoint_blocks(z1[chunk])
+        blocks = xb[chunk]
+        a = frame.analyze_blocks(blocks, out=coeffs[:len(blocks)])
+        frame.adjoint_blocks(dual_l1(z1[chunk], a, gamma), out=blocks)
     return z1
 
 
@@ -466,8 +476,11 @@ def _terms(problem):
     def fidelity_gap(u):
         return max(0.0, _norm(meas.forward(u.reshape(-1)) - y) - radius)
 
+    # the frame step's one chunk of coefficients: made per solve, never
+    # cached on the frame, which several solves may share
+    coeffs = np.empty((frame.chunk, frame.n_out))
     terms = [
-        _Term("l1", 1.0, (stack[0], frame.n_out), partial(_frame_step, frame),
+        _Term("l1", 1.0, (stack[0], frame.n_out), partial(_frame_step, frame, coeffs),
               lambda z, xb: xb,
               lambda u: float(np.abs(frame.analyze_blocks(u).ravel()).sum())),
         _Term("fidelity_gap", 1.0, (obs.measurement_count,),

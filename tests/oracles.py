@@ -1,5 +1,6 @@
-"""Reference projections that the solver no longer runs, kept as oracles for
-the tests of its closed-form dual steps."""
+"""Reference computations that the package no longer runs, kept as oracles:
+the projections behind the solver's closed-form dual steps, and the
+rotating-write butterfly whose bytes the fixed-order kernel keeps."""
 
 import numpy as np
 
@@ -16,3 +17,21 @@ def project_point(v, point):
     if v.shape != point.shape:
         raise ValueError("shape mismatch")
     return point.copy()
+
+
+def butterfly(x, powers, scratch):
+    """The radix-16 butterfly with every group's product written transposed.
+
+    Each pass applies the group on the low bits of the index and, by writing
+    the result transposed, rotates those bits to the top; after every bit
+    has been through one group, the index order is back where it started.
+    Same arguments, overwrites and result as ``_kernels_py.butterfly``.
+    """
+    bits = x.shape[0].bit_length() - 1
+    src, dst = x, scratch
+    while bits:
+        s = min(4, bits)
+        np.matmul(powers[1 << s], src.reshape(-1, 1 << s).T, out=dst.reshape(1 << s, -1))
+        src, dst = dst, src
+        bits -= s
+    return src

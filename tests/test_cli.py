@@ -234,6 +234,14 @@ def test_sense_writes_observation_and_manifest(small_case, capsys):
     assert man["command"] == "sense" and man["parameters"]["rate"] == 0.6
 
 
+def test_manifest_names_the_blas_core(small_case):
+    # the CPU kernel OpenBLAS picked at load decides bytes and speed; None
+    # where the library does not export its name
+    man = json.loads((small_case[2] / "obs.bin.manifest.json").read_text())
+    core = man["environment"]["blas_core"]
+    assert core is None or (isinstance(core, str) and core)
+
+
 def test_recover_round_trip(small_case, capsys):
     img_path, obs_path, tmp = small_case
     out = tmp / "rec.pgm"

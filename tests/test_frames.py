@@ -126,6 +126,48 @@ def test_frame_records_its_transforms(family, kinds):
     assert all(t.size == 8 for t in op.transforms)
 
 
+@pytest.mark.parametrize("family, M", FAMILY_SIZES)
+def test_out_gives_the_bytes_of_the_call_without_it(family, M):
+    # a single block, and stacks of one block, one chunk and one chunk more
+    # (a short last chunk); the out's prior contents do not matter
+    op = fr.build_frame(family, M)
+    rng = np.random.Generator(np.random.Philox(key=[M, 0xF4A4]))
+    for count in (None, 1, op.chunk, op.chunk + 1):
+        lead = () if count is None else (count,)
+        x = rng.standard_normal(lead + (M, M))
+        z = rng.standard_normal(lead + (op.n_out,))
+        for method, arg in ((op.analyze_blocks, x), (op.adjoint_blocks, z)):
+            want = method(arg)
+            out = np.full(want.shape, np.nan)
+            assert method(arg, out=out) is out
+            assert out.tobytes() == want.tobytes(), (method.__name__, count)
+
+
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+def test_out_must_fit_and_stand_apart(family):
+    op = fr.build_frame(family, 8)
+    L, n_out = 3, op.n_out
+    x, z = _rand_blocks(8, L, 6), np.ones((L, n_out))
+    shared = np.zeros(L * (64 + n_out))
+    for method, arg, shape in ((op.analyze_blocks, x, (L, n_out)),
+                               (op.adjoint_blocks, z, (L, 8, 8))):
+        size = int(np.prod(shape))
+        bad = (np.empty(shape[1:]), np.empty((L + 1,) + shape[1:]),
+               np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.complex128),
+               np.empty(shape, order="F"), np.empty((2 * L,) + shape[1:])[::2],
+               np.empty(size).tolist())
+        for out in bad:
+            with pytest.raises(ValueError, match="out"):
+                method(arg, out=out)
+        # an out over the input's own memory, by one entry or from its start
+        inside = shared[:arg.size].reshape(arg.shape)
+        inside[...] = arg
+        with pytest.raises(ValueError, match="out"):
+            method(inside, out=shared[arg.size - 1:][:size].reshape(shape))
+        with pytest.raises(ValueError, match="out"):
+            method(inside, out=shared[:size].reshape(shape))
+
+
 # ---------------------------------------------------------------------------
 # the tracing contract: the benchmark wraps the public methods on the base
 # class, so no family may override them and building the dense matrix must

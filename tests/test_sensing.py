@@ -7,6 +7,8 @@ import pytest
 
 from dirframes import backend, sensing
 
+import oracles
+
 
 def _dense_hadamard(n):
     # Sylvester recursion, unnormalized
@@ -89,7 +91,7 @@ KERNELS = (("fwht", np.float64), ("noiselet", np.complex128),
 
 
 @pytest.mark.parametrize("name, dtype", KERNELS, ids=[k for k, _ in KERNELS])
-@pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+@pytest.mark.parametrize("n", [2**k for k in range(1, 19)])
 def test_kernel_with_scratch_matches_call_without(name, dtype, n):
     # the same passes, written into the two given vectors: the same bytes,
     # and the call without a scratch leaves its input as it was
@@ -105,6 +107,28 @@ def test_kernel_with_scratch_matches_call_without(name, dtype, n):
     held = kernel(work, scratch)
     assert held is work or held is scratch
     assert held.tobytes() == fresh.tobytes()
+
+
+_POWERS = {"fwht": backend._HADAMARD, "noiselet": backend._NOISELET,
+           "noiselet_adjoint": backend._NOISELET_ADJOINT}
+
+
+# every log2(n) mod 4, and the split passes of the fixed-order kernel above 2^15
+@pytest.mark.parametrize("name, dtype", KERNELS, ids=[k for k, _ in KERNELS])
+@pytest.mark.parametrize("n", [2**k for k in range(1, 19)])
+def test_kernel_bytes_match_rotating_write(name, dtype, n):
+    # same groups in the same order, each entry the same BLAS dot: the bytes
+    # of the rotating-write butterfly, with and without a scratch, on an
+    # input centred at 0 and one offset from it
+    rng = np.random.Generator(np.random.Philox(key=[n, 0xADF]))
+    x = rng.standard_normal(n)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(n)
+    kernel = getattr(backend, name)
+    for v in (x, x + 3.0):
+        want = oracles.butterfly(v.astype(dtype), _POWERS[name], np.empty(n, dtype))
+        assert kernel(v).tobytes() == want.tobytes()
+        assert kernel(v.astype(dtype), np.empty(n, dtype)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, dtype", KERNELS, ids=[k for k, _ in KERNELS])
@@ -384,12 +408,13 @@ def test_add_noise_checks_seed_range(sigma):
 # the operator's held workspace
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_operator_calls_allocate_only_their_result(mode):
+# 2^16 runs the fixed-order kernel's split passes, whose strided views
+# numpy would copy silently if it could not hand them to BLAS
+@pytest.mark.parametrize("mode, n", _mode_and_size((2**14, 2**16), kept=2**14))
+def test_operator_calls_allocate_only_their_result(mode, n):
     # each pass runs in the operator's workspace: once warm, forward
     # allocates its m measurements and adjoint its n values, and little else
     tracemalloc = pytest.importorskip("tracemalloc")
-    n = 2**14
     op = sensing.MeasurementOperator(n, rate=0.4, seed=3, mode=mode)
     op = op.in_order(np.random.Generator(np.random.Philox(key=[n, 0xAE0])).permutation(n))
     rng = np.random.Generator(np.random.Philox(key=[n, 0xAE1]))
