@@ -1,7 +1,7 @@
 """Block frame operators built from the 1-D transform designs.
 
-A frame operator maps an M x M block to a coefficient vector.  Four families
-are provided:
+A frame operator maps a stack of M x M blocks to a stack of coefficient
+vectors.  Four families are provided:
 
 * ``dadcf`` -- the directional analytic frame: a cosine branch and a sine
   branch are applied separably, coefficients with k_v = 0 or k_h = 0 are kept
@@ -13,7 +13,8 @@ are provided:
   scaled, pairs with k_v, k_h >= 2 are mixed.
 * ``pyramid`` -- the block mean is split off as a separate lowpass
   coefficient and the ``dadcf`` operator is applied to the mean-removed
-  block; synthesis is the exact left inverse.
+  block.  It is not tight: A^T A = P + Q/M^2, where P removes the block
+  mean and Q = 11^T/M^2 keeps it.
 * separable baselines -- plain 2-D DCT/DHT (orthonormal) and the unitary DFT
   realized as a real operator by stacking real and imaginary parts (the
   stack is Parseval as-is because the transform is unitary).
@@ -21,6 +22,11 @@ are provided:
 Coefficient ordering (two-branch families): scaled cosine coefficients in
 raster (k_v, k_h) order, then scaled sine, then +1-oriented mixed outputs,
 then -1-oriented, each raster ordered.  ``subbands`` records the mapping.
+
+Synthesis is the pseudo-inverse (A^T A)^-1 A^T, which for the Parseval
+families is the adjoint and for the pyramid the adjoint with the mean
+coefficient first scaled by M^2 (the inverse of Q/M^2 on the constants).
+So ``synthesize_blocks`` runs the adjoint's path.
 
 Each family is defined once, by its separable block operator.  The dense
 analysis matrix (``FrameOperator.analysis``) is that operator applied to the
@@ -34,11 +40,10 @@ per chunk, below) with the analysis matrix whose columns are in row-major
 block order, ``blocks.reshape(L, M*M) @ A_r.T`` and ``(coeffs @ A_r).reshape(L, M, M)``.
 ``A_r`` is the analysis matrix with its columns permuted, built on the
 first apply and cached on the frame, so both come from one ``_analyze``
-pass on one basis.  For M > 16, and for ``synthesize_blocks`` at every
-size (the pyramid's left inverse is not the transpose), the separable
-hooks run.  At small M the separable path's cost is not arithmetic but
-numpy's batched M x M products over every block plus several fresh
-image-sized temporaries per call; the product allocates only its output.
+pass on one basis.  For M > 16 the separable hooks run.  At small M the
+separable path's cost is not arithmetic but numpy's batched M x M products
+over every block plus several fresh image-sized temporaries per call; the
+product allocates only its output.
 At M = 32 the matrix would be 2048 x 1024 (16.8 MB for the two-branch
 families) and the product does 8x the separable arithmetic, so large blocks
 stay separable.
@@ -89,7 +94,6 @@ from .transforms import (
 __all__ = [
     "Subband",
     "Atom2D",
-    "SpectrumSample",
     "FrameOperator",
     "build_dadcf",
     "build_rdadcf",
@@ -99,7 +103,6 @@ __all__ = [
     "FRAME_FAMILIES",
     "atom",
     "directional_cosine_atom",
-    "row_spectrum",
     "analyticity_ratio",
 ]
 
@@ -112,6 +115,9 @@ _GEMM_MAX_BLOCK = 16
 # coefficients per chunk of analysis and adjoint: 2^15 floats (256 KiB) keep
 # a chunk's coefficients in cache from the solver's analysis to its adjoint
 _FRAME_CHUNK_FLOATS = 2**15
+
+# frequency samples over [-pi, pi) on which ``analyticity_ratio`` is taken
+_SPECTRUM_GRID = 1024
 
 
 def _frame_chunk(n_out):
@@ -151,12 +157,6 @@ class Atom2D:
     orientation: int | None
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    omega: np.ndarray
-    magnitude: np.ndarray
-
-
 def _flat(M, k_v, k_h):
     # column-major index of coefficient (k_v, k_h) in a vectorized block
     return M * k_h + k_v
@@ -176,13 +176,15 @@ def _unvec_blocks(vecs, M):
 class FrameOperator:
     """Base interface: block analysis, true adjoint, and synthesis.
 
-    ``analyze_blocks`` / ``adjoint_blocks`` accept (L, M, M) stacks or a
-    single (M, M) block.  ``synthesize_blocks`` equals the adjoint for the
-    Parseval families and the exact left inverse for the pyramid.  A family
-    implements the private ``_analyze`` / ``_adjoint`` (and, if it is not
-    tight, ``_synthesize``) hooks; the public methods live here only.  For
-    M <= 16 analysis and adjoint apply the matrix of ``_analyze`` instead of
-    the hooks, ``chunk`` blocks at a time (see the module docstring).
+    ``analyze_blocks`` takes an (L, M, M) stack and returns (L, n_out)
+    coefficients; ``adjoint_blocks`` and ``synthesize_blocks`` map (L, n_out)
+    coefficients back to an (L, M, M) stack.  Synthesis is the
+    pseudo-inverse: the adjoint of the coefficients after the private
+    ``_pinv_coeffs`` hook, which only the pyramid overrides.  A family
+    implements the private ``_analyze`` / ``_adjoint`` hooks; the public
+    methods live here only.  For M <= 16 all three apply the matrix of
+    ``_analyze`` instead of the hooks, ``chunk`` blocks at a time (see the
+    module docstring).
 
     ``analyze_blocks`` and ``adjoint_blocks`` take an optional ``out``, a
     writeable C-contiguous float64 array of the result's shape that does
@@ -213,8 +215,8 @@ class FrameOperator:
         vector is the j-th unit vector, so the matrix and the fast path
         share one definition.  It goes through ``_analyze`` rather than
         ``analyze_blocks`` so that building it is not counted as an
-        analysis call.  Like ``MeasurementOperator.dense_matrix`` it is
-        limited to M^2 <= 4096 (M <= 64), and raises ``ValueError`` beyond.
+        analysis call.  It is limited to M^2 <= 4096 (M <= 64), and
+        raises ``ValueError`` beyond.
         """
         if self._analysis is None:
             M = self.block_size
@@ -227,18 +229,16 @@ class FrameOperator:
         return self._analysis
 
     def analyze_blocks(self, blocks, out=None):
-        blocks, squeeze = self._as_stack(blocks)
-        return self._by_chunk(self._analyze_chunk, blocks, (self.n_out,), squeeze, out)
+        return self._by_chunk(self._analyze_chunk, self._as_stack(blocks), (self.n_out,), out)
 
     def adjoint_blocks(self, coeffs, out=None):
-        coeffs, squeeze = self._as_coeffs(coeffs)
         M = self.block_size
-        return self._by_chunk(self._adjoint_chunk, coeffs, (M, M), squeeze, out)
+        return self._by_chunk(self._adjoint_chunk, self._as_coeffs(coeffs), (M, M), out)
 
     def synthesize_blocks(self, coeffs):
-        coeffs, squeeze = self._as_coeffs(coeffs)
-        out = self._synthesize(coeffs)
-        return out[0] if squeeze else out
+        """The pseudo-inverse (A^T A)^-1 A^T: the adjoint of the coefficients
+        after the family's ``_pinv_coeffs`` scaling."""
+        return self.adjoint_blocks(self._pinv_coeffs(self._as_coeffs(coeffs)))
 
     def parseval_residual(self):
         """max |A^T A - I| over the dense analysis matrix."""
@@ -267,10 +267,10 @@ class FrameOperator:
             self._gemm.setflags(write=False)
         return self._gemm
 
-    def _by_chunk(self, apply, x, shape, squeeze, out):
+    def _by_chunk(self, apply, x, shape, out):
         # apply to x one chunk of rows at a time, each written into its rows
         # of ``out`` or of a fresh array of the result's shape
-        want = shape if squeeze else (len(x),) + shape
+        want = (len(x),) + shape
         if out is None:
             out = np.empty(want)
         elif (not isinstance(out, np.ndarray) or out.shape != want or out.dtype != np.float64
@@ -278,9 +278,8 @@ class FrameOperator:
               or np.may_share_memory(out, x)):
             raise ValueError(f"out must be a writeable contiguous float64 array of shape "
                              f"{want} apart from the input")
-        rows = out.reshape((len(x),) + shape)
         for start in range(0, len(x), self.chunk):
-            apply(x[start:start + self.chunk], rows[start:start + self.chunk])
+            apply(x[start:start + self.chunk], out[start:start + self.chunk])
         return out
 
     def _analyze_chunk(self, blocks, out):
@@ -300,26 +299,19 @@ class FrameOperator:
     def _as_stack(self, blocks):
         blocks = np.asarray(blocks, dtype=np.float64)
         M = self.block_size
-        if blocks.ndim == 2:
-            if blocks.shape != (M, M):
-                raise ValueError(f"expected ({M}, {M}) block, got {blocks.shape}")
-            return blocks[None], True
         if blocks.ndim != 3 or blocks.shape[1:] != (M, M):
             raise ValueError(f"expected (L, {M}, {M}) stack, got {blocks.shape}")
-        return blocks, False
+        return blocks
 
     def _as_coeffs(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.ndim == 1:
-            if coeffs.shape != (self.n_out,):
-                raise ValueError(f"expected {self.n_out} coefficients, got {coeffs.shape}")
-            return coeffs[None], True
         if coeffs.ndim != 2 or coeffs.shape[1] != self.n_out:
             raise ValueError(f"expected (L, {self.n_out}) coefficients, got {coeffs.shape}")
-        return coeffs, False
+        return coeffs
 
-    def _synthesize(self, coeffs):
-        return self._adjoint(coeffs)
+    def _pinv_coeffs(self, coeffs):
+        # a Parseval frame's pseudo-inverse is its adjoint
+        return coeffs
 
     def _analyze(self, blocks):
         raise NotImplementedError
@@ -457,13 +449,15 @@ class _PyramidFrame(FrameOperator):
         detail = self.inner._analyze(blocks - mean[:, None, None])
         return np.concatenate([mean[:, None], detail], axis=1)
 
-    def _synthesize(self, coeffs):
-        # exact left inverse: x = F^T c + mean * ones
-        return self.inner._adjoint(coeffs[:, 1:]) + coeffs[:, 0][:, None, None]
+    def _pinv_coeffs(self, coeffs):
+        # A^T A = P + Q/M^2, with P the mean removal and Q = 11^T/M^2, so
+        # (A^T A)^-1 A^T c is A^T c with the mean coefficient scaled by M^2
+        coeffs = coeffs.copy()
+        coeffs[:, 0] *= self.block_size**2
+        return coeffs
 
     def _adjoint(self, coeffs):
-        # true transpose; differs from synthesis because the analysis of the
-        # detail part includes the mean-removal operator
+        # the analysis of the detail part includes the mean removal
         M = self.block_size
         w = self.inner._adjoint(coeffs[:, 1:])
         w -= w.mean(axis=(1, 2))[:, None, None]
@@ -550,20 +544,7 @@ def directional_cosine_atom(M, k_v, k_h, orientation):
     return (2.0 / M) * np.cos(tv - orientation * th)
 
 
-def row_spectrum(row, grid_size=1024):
-    """Magnitude of the DTFT of a transform row on a uniform grid over [-pi, pi)."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size == 0:
-        raise ValueError("expected a 1-D row")
-    if grid_size < 256:
-        raise ValueError("grid_size must be >= 256")
-    omega = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
-    n = np.arange(row.size)
-    H = np.exp(-1j * omega[:, None] * n[None, :]) @ row
-    return SpectrumSample(omega, np.abs(H))
-
-
-def analyticity_ratio(cos_row, sin_row, grid_size=1024):
+def analyticity_ratio(cos_row, sin_row):
     """Fraction of the energy of H + jG living at negative frequencies.
 
     H and G are the DTFTs of the two rows.  Evaluated on a half-bin-offset
@@ -574,9 +555,7 @@ def analyticity_ratio(cos_row, sin_row, grid_size=1024):
     g = np.asarray(sin_row, dtype=np.float64)
     if h.shape != g.shape or h.ndim != 1:
         raise ValueError("rows must be 1-D and the same length")
-    if grid_size < 256:
-        raise ValueError("grid_size must be >= 256")
-    omega = -np.pi + 2.0 * np.pi * (np.arange(grid_size) + 0.5) / grid_size
+    omega = -np.pi + 2.0 * np.pi * (np.arange(_SPECTRUM_GRID) + 0.5) / _SPECTRUM_GRID
     n = np.arange(h.size)
     U = np.exp(-1j * omega[:, None] * n[None, :]) @ (h + 1j * g)
     energy = np.abs(U) ** 2

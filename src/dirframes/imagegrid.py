@@ -18,7 +18,6 @@ __all__ = [
     "from_blocks",
     "psnr",
     "PSNR_CAP_DB",
-    "zoneplate",
     "oriented_texture",
     "block_mosaic",
     "read_pgm",
@@ -89,16 +88,6 @@ def psnr(reference, estimate):
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
-
-
-def zoneplate(N):
-    """Concentric chirp test image: pixel (r, c) = (1 + cos(pi (r^2 + c^2) / N)) / 2."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    r = np.arange(N)[:, None].astype(np.float64)
-    c = np.arange(N)[None, :].astype(np.float64)
-    img = 0.5 * (1.0 + np.cos(np.pi * (r * r + c * c) / N))
-    return np.clip(img, 0.0, 1.0)
 
 
 def oriented_texture(N, seed=0):

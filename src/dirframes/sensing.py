@@ -60,6 +60,11 @@ creating and freeing n-length temporaries.  ``in_order`` gives the copy a
 workspace of its own, but one operator is not safe for concurrent calls:
 two threads calling it at once would share the workspace.
 
+At rate 1, ``sample_indices`` is ``arange(n)``, so ``forward`` is the full
+n x n orthonormal transform and ``adjoint`` its inverse; the permutation
+and sign streams do not depend on the rate, so a rate-1 operator with the
+same seed and mode is the full transform behind any rate's rows.
+
 Signal lengths are capped at ``MAX_SIGNAL_LENGTH`` = 2^26 (an 8192 x 8192
 image), where the two held indices take 1 GiB and the workspace another
 GiB: a header may not ask for more.
@@ -237,26 +242,6 @@ class MeasurementOperator:
         v *= self._factors[2]
         return v[self._scatter]
 
-    def full_transform(self, x):
-        """Apply the full n x n orthonormal transform.
-
-        Noiselet mode returns sqrt(2) * (Re, Im) of the first half of N_n x,
-        interleaved.  Because N_n = W ⊗ N_h (h = n/2), that half is
-        N_h (a x[:h] + b x[h:]): one h-point noiselet, not an n-point one.
-        """
-        return self._transform(self._check(x, self.n)) * self._scale
-
-    def full_inverse(self, z):
-        """Inverse (= transpose) of :meth:`full_transform`.
-
-        Noiselet mode reads the interleaved pairs as w = z[0::2] + i z[1::2]
-        and returns sqrt(2) * Re(N_n^H [w; 0]).  Because N_n^H = W^H ⊗ N_h^H
-        and W^H = [[b, a], [a, b]], that is sqrt(2) * [Re(b u); Re(a u)] with
-        u = N_h^H w: one h-point adjoint, not an n-point one.
-        """
-        self._work[0] = self._check(z, self.n)
-        return self._inverse()
-
     def forward(self, x):
         """Subsampled measurements: transform then keep the masked rows."""
         y = self._transform(self._check(x, self.n))[self.sample_indices]
@@ -271,13 +256,6 @@ class MeasurementOperator:
         z.fill(0.0)
         z[self.sample_indices] = y
         return self._inverse()
-
-    def dense_matrix(self):
-        """Materialize the full transform (tests/verification; n <= 4096)."""
-        if self.n > 4096:
-            raise ValueError("dense matrix limited to n <= 4096")
-        eye = np.eye(self.n)
-        return np.stack([self.full_transform(eye[i]) for i in range(self.n)], axis=1)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "GivensCascade",
     "build_dct",
     "build_dst",
-    "dst_from_dct",
     "build_modified_dst",
     "build_rdst",
     "rdst_design_steps",
@@ -131,25 +130,6 @@ def build_dst(M):
     return TransformMatrix(M, DST, ent)
 
 
-def dst_from_dct(dct):
-    """Derive the sine matrix from the cosine one by sign flips and a row map.
-
-    Columns are negated at odd positions, then row k of the result is taken
-    from row M-k of the sign-flipped DCT (row 0 from row 0): index negation
-    modulo M.  Equals :func:`build_dst` exactly.
-    """
-    if not isinstance(dct, TransformMatrix) or dct.kind != DCT:
-        raise ValueError("dst_from_dct expects a dct TransformMatrix")
-    M = dct.size
-    signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
-    flipped = dct.entries * signs[None, :]
-    rows = np.empty_like(flipped)
-    rows[0] = flipped[0]
-    for k in range(1, M):
-        rows[k] = flipped[M - k]
-    return TransformMatrix(M, DST, rows)
-
-
 def build_modified_dst(M):
     """Sine matrix with the alternating row replaced by a constant row.
 
@@ -188,13 +168,12 @@ def rdst_design_steps(M):
         row = 2 * k + 1
         zeroed = S.copy()
         zeroed[row] = 0.0
-        sv = np.linalg.svd(zeroed, compute_uv=False)
+        _, sv, vh = np.linalg.svd(zeroed)
         if sv[-1] > _NULLSPACE_RTOL * sv[0]:
             raise ValueError(
                 f"redesign step {k}: no null direction found "
                 f"(smallest singular value {sv[-1]:.3g}); rank assumption violated"
             )
-        _, _, vh = np.linalg.svd(zeroed)
         v = vh[-1]
         nz = np.flatnonzero(np.abs(v) > 1e-8)
         if v[nz[0]] < 0:

@@ -1,6 +1,7 @@
 """Reference computations that the package no longer runs, kept as oracles:
-the projections behind the solver's closed-form dual steps, and the
-rotating-write butterfly whose bytes the fixed-order kernel keeps."""
+the projections behind the solver's closed-form dual steps, the
+rotating-write butterfly whose bytes the fixed-order kernel keeps, and the
+zoneplate test image."""
 
 import numpy as np
 
@@ -35,3 +36,13 @@ def butterfly(x, powers, scratch):
         src, dst = dst, src
         bits -= s
     return src
+
+
+def zoneplate(N):
+    """Concentric chirp test image: pixel (r, c) = (1 + cos(pi (r^2 + c^2) / N)) / 2."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    r = np.arange(N)[:, None].astype(np.float64)
+    c = np.arange(N)[None, :].astype(np.float64)
+    img = 0.5 * (1.0 + np.cos(np.pi * (r * r + c * c) / N))
+    return np.clip(img, 0.0, 1.0)

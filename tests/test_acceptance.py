@@ -159,7 +159,7 @@ def test_criterion_6_pyramid():
     # flat-field leakage on the zoneplate: analyze the per-block-mean field
     # and sum the energy outside the nominal lowpass outputs
     def leak_energy(frame):
-        grid = ig.to_blocks(ig.zoneplate(256), 8)
+        grid = ig.to_blocks(oracles.zoneplate(256), 8)
         means = grid.blocks.mean(axis=(1, 2))
         flat = np.ascontiguousarray(np.broadcast_to(means[:, None, None], grid.blocks.shape))
         e = (frame.analyze_blocks(flat) ** 2).sum(axis=0)

@@ -16,6 +16,8 @@ from dirframes import imagegrid as ig
 from dirframes import sensing, solver
 from dirframes import transforms as tf
 
+import oracles
+
 
 def _run(*argv):
     return cli.main(list(argv))
@@ -168,7 +170,7 @@ def _write_image(path, img):
 
 
 def test_decompose_zoneplate_dadcf_leaks(tmp_path, capsys):
-    img_path = _write_image(tmp_path / "z.pgm", ig.zoneplate(64))
+    img_path = _write_image(tmp_path / "z.pgm", oracles.zoneplate(64))
     out = tmp_path / "dec"
     assert _run("decompose", "--image", img_path, "--family", "dadcf", "--size", "8",
                 "--out", str(out)) == 0
@@ -184,7 +186,7 @@ def test_decompose_zoneplate_dadcf_leaks(tmp_path, capsys):
 
 @pytest.mark.parametrize("family", ("rdadcf", "pyramid"))
 def test_decompose_regular_families_no_leak(family, tmp_path, capsys):
-    img_path = _write_image(tmp_path / "z.pgm", ig.zoneplate(64))
+    img_path = _write_image(tmp_path / "z.pgm", oracles.zoneplate(64))
     out = tmp_path / family
     assert _run("decompose", "--image", img_path, "--family", family, "--size", "8",
                 "--out", str(out)) == 0

@@ -45,6 +45,13 @@ def test_output_counts(family, M, n_out):
     assert op.n_out == n_out
     assert op.analysis.shape == (n_out, M * M)
     assert len(op.subbands) == n_out
+    # the methods take stacks only: a single block or coefficient vector
+    # is refused
+    with pytest.raises(ValueError):
+        op.analyze_blocks(np.zeros((M, M)))
+    for method in (op.adjoint_blocks, op.synthesize_blocks):
+        with pytest.raises(ValueError):
+            method(np.zeros(n_out))
 
 
 @pytest.mark.parametrize("family, M, directional", [
@@ -99,9 +106,38 @@ def test_public_apply_equals_separable(family, M):
         assert op._gemm is not None
 
 
-@pytest.mark.parametrize("family, M", FAMILY_SIZES)
-def test_synthesis_inverts_analysis(family, M):
+# synthesis is the pseudo-inverse: the round trip at every benchmark size;
+# equality with numpy's pseudo-inverse of the analysis matrix at M in {4, 8};
+# and, where the product applies (M <= 16), the round trip with every
+# family's separable adjoint hook refused
+SYNTHESIS_CASES = (
+    [pytest.param(*case.values, "round-trip", id=case.id) for case in FAMILY_SIZES]
+    + [pytest.param(family, M, "pinv", id=f"{family}-{M}-pinv")
+       for family in fr.FRAME_FAMILIES for M in (4, 8)]
+    + [pytest.param(family, M, "no-hooks", id=f"{family}-{M}-no-hooks")
+       for family in fr.FRAME_FAMILIES for M in (4, 8, 16)]
+)
+
+
+@pytest.mark.parametrize("family, M, check", SYNTHESIS_CASES)
+def test_synthesis_inverts_analysis(family, M, check, monkeypatch):
     op = fr.build_frame(family, M)
+    if check == "pinv":
+        c = np.random.Generator(np.random.Philox(key=[M, 0xF4A5])).standard_normal(
+            (7, op.n_out)
+        )
+        # the analysis matrix's columns are column-major block vectors
+        got = op.synthesize_blocks(c).transpose(0, 2, 1).reshape(7, M * M)
+        want = (np.linalg.pinv(op.analysis) @ c.T).T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        return
+    if check == "no-hooks":
+        def refuse(self, coeffs):
+            raise AssertionError("separable adjoint hook called")
+
+        for cls in (fr.FrameOperator, *_subclasses(fr.FrameOperator)):
+            if "_adjoint" in vars(cls):
+                monkeypatch.setattr(cls, "_adjoint", refuse)
     x = _rand_blocks(M, 7, 3)
     back = op.synthesize_blocks(op.analyze_blocks(x))
     np.testing.assert_allclose(back, x, atol=1e-12)
@@ -128,14 +164,13 @@ def test_frame_records_its_transforms(family, kinds):
 
 @pytest.mark.parametrize("family, M", FAMILY_SIZES)
 def test_out_gives_the_bytes_of_the_call_without_it(family, M):
-    # a single block, and stacks of one block, one chunk and one chunk more
-    # (a short last chunk); the out's prior contents do not matter
+    # stacks of one block, one chunk and one chunk more (a short last
+    # chunk); the out's prior contents do not matter
     op = fr.build_frame(family, M)
     rng = np.random.Generator(np.random.Philox(key=[M, 0xF4A4]))
-    for count in (None, 1, op.chunk, op.chunk + 1):
-        lead = () if count is None else (count,)
-        x = rng.standard_normal(lead + (M, M))
-        z = rng.standard_normal(lead + (op.n_out,))
+    for count in (1, op.chunk, op.chunk + 1):
+        x = rng.standard_normal((count, M, M))
+        z = rng.standard_normal((count, op.n_out))
         for method, arg in ((op.analyze_blocks, x), (op.adjoint_blocks, z)):
             want = method(arg)
             out = np.full(want.shape, np.nan)
@@ -285,12 +320,6 @@ def test_directional_rows_are_one_sided(family, M, worst):
     measured = max(sidedness)
     assert measured < 0.15
     np.testing.assert_allclose(measured, worst, atol=5e-3)
-
-
-def test_row_spectrum_shape():
-    s = fr.row_spectrum(tf.build_dct(8).entries[2], grid_size=256)
-    assert s.omega.shape == (256,) and s.magnitude.shape == (256,)
-    assert np.all(s.magnitude >= 0)
 
 
 # ---------------------------------------------------------------------------

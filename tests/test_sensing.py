@@ -158,11 +158,24 @@ def _mode_and_size(sizes, kept):
             for mode in MODES for n in sizes]
 
 
+def _full(op):
+    # the rate-1 operator of the same seed and mode: its sample indices are
+    # arange(n) and its permutation and signs do not depend on the rate, so
+    # its forward is the full n x n transform and its adjoint the inverse
+    return sensing.MeasurementOperator(op.n, 1.0, op.seed, op.mode)
+
+
+def _dense_matrix(op):
+    # the full transform applied to the unit basis, one column per vector
+    full = _full(op)
+    return np.stack([full.forward(e) for e in np.eye(op.n)], axis=1)
+
+
 def _dense_operator(op):
     # the real noiselet-mode transform built from the full n-point dense
     # noiselet, independent of the operator's half-length evaluation
     if op.mode == sensing.SCRAMBLED_HADAMARD:
-        return op.dense_matrix()
+        return _dense_matrix(op)
     first = _dense_noiselet(op.n)[: op.n // 2]
     out = np.empty((op.n, op.n))
     out[0::2] = np.sqrt(2.0) * first.real
@@ -173,7 +186,8 @@ def _dense_operator(op):
 @pytest.mark.parametrize("mode, n", _mode_and_size(OPERATOR_SIZES, kept=256))
 def test_operator_rows_orthonormal(mode, n):
     op = sensing.MeasurementOperator(n, rate=0.4, seed=3, mode=mode)
-    G = op.dense_matrix() @ op.dense_matrix().T
+    D = _dense_matrix(op)
+    G = D @ D.T
     np.testing.assert_allclose(G, np.eye(n), atol=1e-10)
 
 
@@ -204,7 +218,7 @@ def test_operator_full_transform_round_trip():
     x = rng.standard_normal(512)
     for mode in MODES:
         op = sensing.MeasurementOperator(512, rate=1.0, seed=2, mode=mode)
-        np.testing.assert_allclose(op.full_inverse(op.full_transform(x)), x, atol=1e-12,
+        np.testing.assert_allclose(op.adjoint(op.forward(x)), x, atol=1e-12,
                                    err_msg=mode)
 
 
@@ -220,8 +234,10 @@ def test_operator_in_order_is_gather_then_operator(mode, n):
     assert relabeled.forward(u).tobytes() == op.forward(u[q]).tobytes()
     back = relabeled.adjoint(y)
     assert back[q].tobytes() == op.adjoint(y).tobytes()
-    assert relabeled.full_transform(u).tobytes() == op.full_transform(u[q]).tobytes()
-    assert relabeled.full_inverse(u)[q].tobytes() == op.full_inverse(u).tobytes()
+    full = _full(op)
+    full_relabeled = full.in_order(q)
+    assert full_relabeled.forward(u).tobytes() == full.forward(u[q]).tobytes()
+    assert full_relabeled.adjoint(u)[q].tobytes() == full.adjoint(u).tobytes()
     # relabeling composes, and the identity order changes nothing
     p = rng.permutation(n)
     assert relabeled.in_order(p).forward(u).tobytes() == op.forward(u[p][q]).tobytes()
@@ -444,13 +460,14 @@ def test_operator_results_do_not_alias(mode):
     rng = np.random.Generator(np.random.Philox(key=[n, 0xAE2]))
     u, v = rng.standard_normal(n), rng.standard_normal(n)
     y, w = rng.standard_normal(op.m), rng.standard_normal(op.m)
-    for call, first, second in ((op.full_transform, u, v), (op.full_inverse, u, v),
+    full = _full(op)
+    for call, first, second in ((full.forward, u, v), (full.adjoint, u, v),
                                 (op.forward, u, v), (op.adjoint, y, w)):
         a = call(first)
         kept = a.copy()
         b = call(second)
         assert not np.shares_memory(a, b), call.__name__
-        assert not np.shares_memory(a, op._work), call.__name__
+        assert not np.shares_memory(a, call.__self__._work), call.__name__
         assert a.tobytes() == kept.tobytes(), call.__name__
 
 
@@ -461,17 +478,21 @@ def test_relabeled_copy_has_its_own_workspace(mode):
     n = 512
     op = sensing.MeasurementOperator(n, rate=0.4, seed=5, mode=mode)
     rng = np.random.Generator(np.random.Philox(key=[n, 0xAE3]))
-    relabeled = op.in_order(rng.permutation(n))
+    q = rng.permutation(n)
+    relabeled = op.in_order(q)
+    full = _full(op)
+    pairs = ((op, full), (relabeled, full.in_order(q)))
     u = rng.standard_normal((3, n))
     y = rng.standard_normal((3, op.m))
 
-    def calls(o, i):
-        return [o.forward(u[i]), o.adjoint(y[i]), o.full_transform(u[i]), o.full_inverse(u[i])]
+    def calls(pair, i):
+        o, f = pair
+        return [o.forward(u[i]), o.adjoint(y[i]), f.forward(u[i]), f.adjoint(u[i])]
 
-    alone = [calls(o, i) for o in (op, relabeled) for i in range(3)]
+    alone = [calls(pair, i) for pair in pairs for i in range(3)]
     interleaved = [[], []]
     for i in range(3):
-        for side, o in enumerate((op, relabeled)):
-            interleaved[side].append(calls(o, i))
+        for side, pair in enumerate(pairs):
+            interleaved[side].append(calls(pair, i))
     for want, got in zip(alone, interleaved[0] + interleaved[1]):
         assert [a.tobytes() for a in want] == [a.tobytes() for a in got]
