@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import os
@@ -235,7 +236,7 @@ def _verify_family(family, M):
             if s.branch != "mixed":
                 continue
             ref = frames.directional_cosine_atom(M, s.k_v, s.k_h, s.orientation)
-            worst = max(worst, float(np.max(np.abs(frames.atom(op, s.index).grid - ref))))
+            worst = max(worst, float(np.max(np.abs(frames.atom(op, s.index) - ref))))
         checks.append(_bound_check("mixed_atom_identity", worst, _ATOM_TOL))
         return checks
 
@@ -420,7 +421,7 @@ def cmd_decompose(args):
                 "leak_fraction": leak / dc_total if dc_total else 0.0,
             },
             "subbands": [
-                dict(s.to_json_dict(), energy=float(e), fraction=float(e / total) if total else 0.0)
+                dict(dataclasses.asdict(s), energy=float(e), fraction=float(e / total) if total else 0.0)
                 for s, e in zip(op.subbands, energies)
             ],
         },

@@ -19,6 +19,10 @@ vectors.  Four families are provided:
   realized as a real operator by stacking real and imaginary parts (the
   stack is Parseval as-is because the transform is unitary).
 
+``build_frame(family, M)`` builds every family, by the names in
+``FRAME_FAMILIES``.  ``atom(op, index)`` returns one output's atom as a plain
+(M, M) grid; ``op.subbands[index]`` is the record that describes it.
+
 Coefficient ordering (two-branch families): scaled cosine coefficients in
 raster (k_v, k_h) order, then scaled sine, then +1-oriented mixed outputs,
 then -1-oriented, each raster ordered.  ``subbands`` records the mapping.
@@ -76,7 +80,7 @@ calls whatever the BLAS kernels and thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,12 +97,7 @@ from .transforms import (
 
 __all__ = [
     "Subband",
-    "Atom2D",
     "FrameOperator",
-    "build_dadcf",
-    "build_rdadcf",
-    "build_pyramid",
-    "build_separable",
     "build_frame",
     "FRAME_FAMILIES",
     "atom",
@@ -138,24 +137,6 @@ class Subband:
     k_h: int
     orientation: int | None   # +1 | -1 for mixed outputs, else None
 
-    def to_json_dict(self):
-        return {
-            "index": self.index,
-            "branch": self.branch,
-            "k_v": self.k_v,
-            "k_h": self.k_h,
-            "orientation": self.orientation,
-        }
-
-
-@dataclass(frozen=True)
-class Atom2D:
-    grid: np.ndarray
-    branch: str
-    k_v: int
-    k_h: int
-    orientation: int | None
-
 
 def _flat(M, k_v, k_h):
     # column-major index of coefficient (k_v, k_h) in a vectorized block
@@ -194,9 +175,8 @@ class FrameOperator:
     same bytes.  For M > 16 the hooks' fresh results are copied in.
     """
 
-    family = None
-
-    def __init__(self, block_size, n_out, subbands, transforms):
+    def __init__(self, family, block_size, n_out, subbands, transforms):
+        self.family = family  # the name ``build_frame`` takes
         self.block_size = block_size
         self.n_out = n_out
         self.subbands = tuple(subbands)
@@ -251,7 +231,7 @@ class FrameOperator:
             "family": self.family,
             "block_size": self.block_size,
             "n_out": self.n_out,
-            "subbands": [s.to_json_dict() for s in self.subbands],
+            "subbands": [asdict(s) for s in self.subbands],
         }
 
     # -- internals ---------------------------------------------------------
@@ -350,8 +330,7 @@ class _TwoBranchFrame(FrameOperator):
         for orient in (1, -1):
             for kv, kh in paired:
                 subbands.append(Subband(len(subbands), "mixed", kv, kh, orient))
-        super().__init__(M, 2 * M * M, subbands, (cos_tm, sin_tm))
-        self.family = family
+        super().__init__(family, M, 2 * M * M, subbands, (cos_tm, sin_tm))
 
     def _branch_coeffs(self, blocks):
         c = _vec_blocks(self._Fc @ blocks @ self._Fc.T)
@@ -396,8 +375,7 @@ class _SeparableFrame(FrameOperator):
         subbands = [
             Subband(i, "cos", i % M, i // M, None) for i in range(M * M)
         ]
-        super().__init__(M, M * M, subbands, (tm,))
-        self.family = family
+        super().__init__(family, M, M * M, subbands, (tm,))
 
     def _analyze(self, blocks):
         return _vec_blocks(self._F @ blocks @ self._F.T)
@@ -417,8 +395,7 @@ class _ComplexSeparableFrame(FrameOperator):
         subbands += [
             Subband(M * M + i, "sin", i % M, i // M, None) for i in range(M * M)
         ]
-        super().__init__(M, 2 * M * M, subbands, (tm,))
-        self.family = "dft"
+        super().__init__("dft", M, 2 * M * M, subbands, (tm,))
 
     def _analyze(self, blocks):
         Z = self._U @ blocks.astype(np.complex128) @ self._U.T
@@ -441,8 +418,7 @@ class _PyramidFrame(FrameOperator):
         subbands = [Subband(0, "lowpass", 0, 0, None)]
         for s in inner.subbands:
             subbands.append(Subband(s.index + 1, s.branch, s.k_v, s.k_h, s.orientation))
-        super().__init__(M, inner.n_out + 1, subbands, inner.transforms)
-        self.family = "pyramid"
+        super().__init__("pyramid", M, inner.n_out + 1, subbands, inner.transforms)
 
     def _analyze(self, blocks):
         mean = blocks.mean(axis=(1, 2))
@@ -464,70 +440,48 @@ class _PyramidFrame(FrameOperator):
         return w + coeffs[:, 0][:, None, None] / (M * M)
 
 
-def build_dadcf(M):
-    """Directional analytic frame from the DCT and its sine companion."""
-    return _TwoBranchFrame("dadcf", build_dct(M), build_dst(M), 1)
-
-
-def build_rdadcf(M):
-    """Directional frame using the regularity-constrained sine transform."""
-    if M < 4:
-        raise ValueError("rdadcf requires block size >= 4")
-    return _TwoBranchFrame("rdadcf", build_dct(M), build_rdst(M), 2)
-
-
-def build_pyramid(M):
-    """Mean-separated variant of the dadcf frame with exact inversion."""
-    return _PyramidFrame(build_dadcf(M))
-
-
-def build_separable(kind, M):
-    """Separable baseline frame for kind in {"dct", "dft", "dht"}."""
-    if kind == DCT:
-        return _SeparableFrame("dct", build_dct(M))
-    if kind == DHT:
-        return _SeparableFrame("dht", build_dht(M))
-    if kind == DFT:
-        return _ComplexSeparableFrame(build_dft(M))
-    raise ValueError(f"unknown separable kind {kind!r}")
-
-
 def build_frame(family, M):
-    """Build any supported frame family by name."""
-    if family == "dadcf":
-        return build_dadcf(M)
+    """Build the frame of a family in ``FRAME_FAMILIES`` with M x M blocks.
+
+    dadcf pairs the DCT with its sine companion; rdadcf (M >= 4) the DCT
+    with the regularity-constrained sine transform; pyramid splits off the
+    block mean ahead of a dadcf frame; dct, dht and dft are the separable
+    baselines.  Raises ``ValueError`` for an unknown family or rdadcf with
+    M < 4.
+    """
+    if family in ("dadcf", "pyramid"):
+        frame = _TwoBranchFrame("dadcf", build_dct(M), build_dst(M), 1)
+        return frame if family == "dadcf" else _PyramidFrame(frame)
     if family == "rdadcf":
-        return build_rdadcf(M)
-    if family == "pyramid":
-        return build_pyramid(M)
-    if family in (DCT, DFT, DHT):
-        return build_separable(family, M)
+        if M < 4:
+            raise ValueError("rdadcf requires block size >= 4")
+        return _TwoBranchFrame("rdadcf", build_dct(M), build_rdst(M), 2)
+    if family == DFT:
+        return _ComplexSeparableFrame(build_dft(M))
+    if family in (DCT, DHT):
+        return _SeparableFrame(family, build_dct(M) if family == DCT else build_dht(M))
     raise ValueError(f"unknown frame family {family!r}")
 
 
 def atom(op, index):
-    """Return the atom for one output coefficient as an M x M grid.
+    """Return the atom of one output coefficient: its analysis row as an
+    M x M grid (column-major), times a scale that depends on its branch.
 
-    Scaled (non-mixed) outputs of the two-branch families are returned at
-    unit norm (analysis row times sqrt(2)); mixed outputs are returned as the
-    plain branch-atom combination c +/- s (analysis row times 2, norm
+    For the two-branch families and the pyramid, scaled (non-mixed) outputs
+    are returned at unit norm (analysis row times sqrt(2)); mixed outputs as
+    the plain branch-atom combination c +/- s (analysis row times 2, norm
     sqrt(2)), which for the dadcf family equals (2/M) cos(theta_v -/+
-    theta_h) entrywise.  Separable-family atoms are the raw analysis rows.
+    theta_h) entrywise; the pyramid's lowpass output as the flat block 1/M
+    (analysis row times M).  Separable-family atoms are the raw analysis
+    rows.  ``op.subbands[index]`` describes the atom.
     """
     if not 0 <= index < op.n_out:
         raise ValueError(f"index {index} out of range for {op.n_out} outputs")
-    sub = op.subbands[index]
-    row = np.array(op.analysis[index])
-    if op.family in ("dadcf", "rdadcf", "pyramid"):
-        if sub.branch == "mixed":
-            row *= 2.0
-        elif sub.branch == "lowpass":
-            row *= op.block_size
-        else:
-            row *= np.sqrt(2.0)
     M = op.block_size
-    grid = row.reshape(M, M, order="F")
-    return Atom2D(grid, sub.branch, sub.k_v, sub.k_h, sub.orientation)
+    scale = 1.0
+    if op.family in ("dadcf", "rdadcf", "pyramid"):
+        scale = {"mixed": 2.0, "lowpass": M}.get(op.subbands[index].branch, np.sqrt(2.0))
+    return op.analysis[index].reshape(M, M, order="F") * scale
 
 
 def directional_cosine_atom(M, k_v, k_h, orientation):

@@ -26,6 +26,8 @@ __all__ = [
 
 PSNR_CAP_DB = 300.0
 
+_MOSAIC_TILE = 8  # side of the constant tiles of ``block_mosaic``
+
 
 def _check_image(img):
     img = np.asarray(img, dtype=np.float64)
@@ -118,20 +120,19 @@ def oriented_texture(N, seed=0):
     return np.clip(img, 0.0, 1.0)
 
 
-def block_mosaic(N, seed=0, block=8):
+def block_mosaic(N, seed=0):
     """Synthetic cartoon test image: a grid of constant tiles.
 
-    Every ``block`` x ``block`` tile carries a single constant value taken
-    from a smooth diagonal ramp, with a handful of tile-aligned rectangles
-    shifted up or down for large-scale structure.  Because each tile is
-    exactly constant, the image is as compressible as block transforms with
-    a flat lowpass row allow.  Deterministic for a given seed; values stay
-    inside (0, 1).
+    Every 8 x 8 tile carries a single constant value taken from a smooth
+    diagonal ramp, with a handful of tile-aligned rectangles shifted up or
+    down for large-scale structure.  Because each tile is exactly constant,
+    the image is as compressible as block transforms with a flat lowpass row
+    allow.  Deterministic for a given seed; values stay inside (0, 1).
     """
-    if N < 2 * block or N % block:
-        raise ValueError(f"N must be a multiple of block >= {2 * block}")
+    if N < 2 * _MOSAIC_TILE or N % _MOSAIC_TILE:
+        raise ValueError(f"N must be a multiple of {_MOSAIC_TILE} >= {2 * _MOSAIC_TILE}")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x6B5A]))
-    nb = N // block
+    nb = N // _MOSAIC_TILE
     br = np.arange(nb)[:, None] / nb
     bc = np.arange(nb)[None, :] / nb
     vals = 0.30 + 0.06 * np.cos(2.0 * np.pi * (0.9 * br + 0.6 * bc))
@@ -139,8 +140,7 @@ def block_mosaic(N, seed=0, block=8):
         r0, c0 = rng.integers(0, max(nb - 4, 1), 2)
         h, w = rng.integers(2, max(3, nb // 3), 2)
         vals[r0 : r0 + h, c0 : c0 + w] += rng.uniform(-0.18, 0.18)
-    vals = np.clip(vals, 0.02, 0.98)
-    return np.repeat(np.repeat(vals, block, axis=0), block, axis=1)
+    return np.clip(vals, 0.02, 0.98).repeat(_MOSAIC_TILE, 0).repeat(_MOSAIC_TILE, 1)
 
 
 

@@ -288,8 +288,9 @@ class Observation:
         return MeasurementOperator(self.n, self.rate, self.seed, self.mode)
 
 
-def add_noise(y, sigma, seed, stream_id=_STREAM_NOISE):
-    """Add white Gaussian noise; sigma = 0 returns the input unchanged.
+def add_noise(y, sigma, seed):
+    """Add white Gaussian noise from the seed's noise stream; sigma = 0
+    returns the input unchanged.
 
     Raises ``ValueError`` unless sigma is finite and >= 0 and the seed is in
     [0, 2^64), whatever sigma is.
@@ -300,7 +301,7 @@ def add_noise(y, sigma, seed, stream_id=_STREAM_NOISE):
     _check_seed(seed)
     if sigma == 0:
         return y.copy()
-    return y + sigma * _stream(seed, stream_id).standard_normal(y.size)
+    return y + sigma * _stream(seed, _STREAM_NOISE).standard_normal(y.size)
 
 
 def sense_image(img, rate, sigma, seed, mode=SCRAMBLED_HADAMARD, seed_noise=None):

@@ -113,6 +113,11 @@ FIDELITY_L2BALL = "l2ball"
 FIDELITY_EQUALITY = "equality"
 
 
+# the residual may grow at most this factor over this many iterations
+_DIVERGENCE_FACTOR = 10.0
+_DIVERGENCE_WINDOW = 100
+
+
 class DivergenceError(RuntimeError):
     """Raised when the residual is not finite or grows ~10x over a
     100-iteration window."""
@@ -380,19 +385,17 @@ def estimate_operator_norm_sq(apply_all, adjoint_all, shape, iters=30, seed=0):
     return lam
 
 
-def _divergence_guard(residuals, window=100, factor=10.0):
+def _divergence_guard(residuals):
     """Raise :class:`DivergenceError` when the latest increment is not finite
-    or grew ``factor``-fold over the last ``window`` iterations (a zero
-    reference never counts)."""
+    or grew ``_DIVERGENCE_FACTOR``-fold over the last ``_DIVERGENCE_WINDOW``
+    iterations (a zero reference never counts)."""
     if not np.isfinite(residuals[-1]):
         raise DivergenceError(f"residual {residuals[-1]} at iteration {len(residuals)}")
-    if len(residuals) <= window:
-        return
-    ref = residuals[-window - 1]
-    if ref > 0.0 and residuals[-1] > factor * ref:
+    ref = residuals[-_DIVERGENCE_WINDOW - 1] if len(residuals) > _DIVERGENCE_WINDOW else 0.0
+    if ref > 0.0 and residuals[-1] > _DIVERGENCE_FACTOR * ref:
         raise DivergenceError(
             f"residual grew from {ref:.3g} to {residuals[-1]:.3g} "
-            f"over {window} iterations"
+            f"over {_DIVERGENCE_WINDOW} iterations"
         )
 
 

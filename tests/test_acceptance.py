@@ -34,8 +34,8 @@ def test_criterion_1_parseval():
     t0 = time.perf_counter()
     worst = 0.0
     for M in (4, 8, 16, 32):
-        for build in (fr.build_dadcf, fr.build_rdadcf):
-            worst = max(worst, build(M).parseval_residual())
+        for family in ("dadcf", "rdadcf"):
+            worst = max(worst, fr.build_frame(family, M).parseval_residual())
     wall = time.perf_counter() - t0
     ok = worst < 1e-10 and wall < 5.0
     _verdict("1 (parseval tightness)", ok,
@@ -101,11 +101,11 @@ def test_criterion_3_fixtures():
 def test_criterion_4_atom_identities():
     worst_mixed = 0.0
     for M in (4, 8):
-        op = fr.build_dadcf(M)
+        op = fr.build_frame("dadcf", M)
         for s in op.subbands:
             if s.branch != "mixed":
                 continue
-            a = fr.atom(op, s.index).grid
+            a = fr.atom(op, s.index)
             want = fr.directional_cosine_atom(M, s.k_v, s.k_h, s.orientation)
             worst_mixed = max(worst_mixed, float(np.abs(a - want).max()))
     worst_pair = 0.0
@@ -149,7 +149,7 @@ def test_criterion_5_conditioning_bounds():
 
 
 def test_criterion_6_pyramid():
-    op = fr.build_pyramid(8)
+    op = fr.build_frame("pyramid", 8)
     rng = np.random.Generator(np.random.Philox(key=[0, 0xACC6]))
     blocks = rng.standard_normal((1000, 8, 8))
     rt = float(np.abs(op.synthesize_blocks(op.analyze_blocks(blocks)) - blocks).max())
@@ -167,7 +167,7 @@ def test_criterion_6_pyramid():
                 if s.branch != "mixed" and s.k_v == 0 and s.k_h == 0]
         return float(e.sum() - e[keep].sum())
 
-    e_plain = leak_energy(fr.build_dadcf(8))
+    e_plain = leak_energy(fr.build_frame("dadcf", 8))
     e_pyr = leak_energy(op)
     drop_ok = e_plain > 1e3 and e_pyr <= 1e-4 * e_plain   # >= 40 dB
     ok = rt < 1e-10 and count_ok and drop_ok
@@ -207,7 +207,7 @@ def test_criterion_7_solver_blocks():
 
     # adjointness of every operator entering the solver
     worst_adj = 0.0
-    op = fr.build_rdadcf(8)
+    op = fr.build_frame("rdadcf", 8)
     x = rng.standard_normal((4, 8, 8))
     z = rng.standard_normal((4, op.n_out))
     worst_adj = max(worst_adj, abs(float(np.sum(op.analyze_blocks(x) * z))
@@ -226,7 +226,7 @@ def test_criterion_7_solver_blocks():
     # full-sampling noiseless recovery
     img = ig.oriented_texture(64, seed=0)
     obs = sn.sense_image(img, 1.0, 0.0, seed=5)
-    prob = sv.ProblemSpec(frame=fr.build_rdadcf(8), observation=obs, rho=0.0,
+    prob = sv.ProblemSpec(frame=fr.build_frame("rdadcf", 8), observation=obs, rho=0.0,
                           fidelity_mode=sv.FIDELITY_EQUALITY)
     _, rep = sv.solve(prob, sv.SolverConfig(stop_tol=0.0, max_iters=500), truth=img)
     rec_ok = rep.final_psnr > 60.0 and rep.iterations <= 500
@@ -248,7 +248,7 @@ SEEDS = (0, 1, 2)
 def recovery_runs():
     """All criterion-8 solves, shared across the four verdicts."""
     t0 = time.perf_counter()
-    rd = fr.build_rdadcf(8)
+    rd = fr.build_frame("rdadcf", 8)
     dh = fr.build_frame("dht", 8)
     cfg = sv.SolverConfig()
     mosaic = {}   # (seed, rate) -> dict(pinv=, psnr=)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from dirframes import cli
+from dirframes import frames as fr
 from dirframes import imagegrid as ig
 from dirframes import sensing, solver
 from dirframes import transforms as tf
@@ -47,6 +49,15 @@ def test_design_writes_expected_files(tmp_path):
     assert len(giv["rotations"]) == 6
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "design" and "rdst_8.csv" in man["outputs"]
+
+
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+def test_design_subbands_are_the_frame_records(tmp_path, family):
+    out = tmp_path / "d"
+    assert _run("design", "--family", family, "--size", "8", "--out", str(out)) == 0
+    sub = json.loads((out / "subbands.json").read_text())
+    want = [dataclasses.asdict(s) for s in fr.build_frame(family, 8).subbands]
+    assert sub["subbands"] == want
 
 
 def test_design_byte_deterministic(tmp_path):

@@ -146,6 +146,9 @@ def test_synthesis_inverts_analysis(family, M, check, monkeypatch):
 def test_build_frame_rejects_unknown_family():
     with pytest.raises(ValueError):
         fr.build_frame("wavelet", 8)
+    # the regularity-constrained sine transform needs M >= 4
+    with pytest.raises(ValueError, match="rdadcf"):
+        fr.build_frame("rdadcf", 2)
 
 
 @pytest.mark.parametrize("family, kinds", [
@@ -239,14 +242,24 @@ def test_analysis_matrix_bypasses_public_methods(family, monkeypatch):
 # atoms
 
 
-@pytest.mark.parametrize("family", TWO_BRANCH)
-def test_atom_norms(family):
-    op = fr.build_frame(family, 8)
+@pytest.mark.parametrize("family, M", [pytest.param(f, 8, id=f) for f in TWO_BRANCH]
+                         + [pytest.param(f, 4, id=f"{f}-4") for f in fr.FRAME_FAMILIES])
+def test_atom_norms(family, M):
+    # an atom is its analysis row, column-major, times the documented scale:
+    # 2 for mixed outputs, M for the pyramid's lowpass, sqrt(2) for the other
+    # outputs of the two-branch families and the pyramid, 1 for the
+    # separable baselines; the two-branch atoms then have norm 1 or sqrt(2)
+    op = fr.build_frame(family, M)
     for s in op.subbands:
         a = fr.atom(op, s.index)
-        norm = np.linalg.norm(a.grid)
-        want = np.sqrt(2.0) if s.branch == "mixed" else 1.0
-        np.testing.assert_allclose(norm, want, atol=1e-12)
+        scale = 1.0
+        if family in ("dadcf", "rdadcf", "pyramid"):
+            scale = {"mixed": 2.0, "lowpass": M}.get(s.branch, np.sqrt(2.0))
+        np.testing.assert_array_equal(a, op.analysis[s.index].reshape(M, M, order="F") * scale)
+        if family in TWO_BRANCH:
+            norm = np.linalg.norm(a)
+            want = np.sqrt(2.0) if s.branch == "mixed" else 1.0
+            np.testing.assert_allclose(norm, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", (4, 8))
@@ -259,7 +272,7 @@ def test_mixed_atoms_match_cosine_closed_form(M):
             continue
         a = fr.atom(op, s.index)
         want = fr.directional_cosine_atom(M, s.k_v, s.k_h, s.orientation)
-        np.testing.assert_allclose(a.grid, want, atol=1e-12)
+        np.testing.assert_allclose(a, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", (4, 8))
@@ -272,7 +285,7 @@ def test_rdadcf_even_pair_atoms_match_cosine_closed_form(M):
             continue
         a = fr.atom(op, s.index)
         want = fr.directional_cosine_atom(M, s.k_v, s.k_h, s.orientation)
-        np.testing.assert_allclose(a.grid, want, atol=1e-12)
+        np.testing.assert_allclose(a, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", (4, 8))

@@ -100,7 +100,7 @@ def test_block_mosaic_deterministic_and_checked():
     with pytest.raises(ValueError):
         ig.block_mosaic(60)
     with pytest.raises(ValueError):
-        ig.block_mosaic(8, block=8)
+        ig.block_mosaic(8)
 
 
 # ---------------------------------------------------------------------------
