@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests kill a committed list of one-line mutants.
 
-    python3 scripts/mutants.py [--root DIR] [--only NAME ...]
+    python3 scripts/mutants.py [--root DIR]
 
 ``--root`` is a checkout (default: the one holding this script).  Each
 entry of ``MUTANTS`` names a file of the checkout, an exact text that must
@@ -98,19 +98,17 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", default=Path(__file__).resolve().parent.parent, type=Path,
                    help="checkout whose tests are checked")
-    p.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
     args = p.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy(args.root, clean)
-        every = sorted({i for m in chosen for i in m[4]})
+        every = sorted({i for m in MUTANTS for i in m[4]})
         bad = _failed(clean, every)
         for test_id in sorted(bad):
             print(f"does not pass unmutated: {test_id}")
         ok = not bad
         killed = 0
-        for name, rel, old, new, ids in chosen:
+        for name, rel, old, new, ids in MUTANTS:
             copy = Path(tmp) / name
             _copy(args.root, copy)
             path = copy / rel
@@ -127,8 +125,8 @@ def main(argv=None):
             for test_id in sorted(survived):
                 print(f"  still passes: {test_id}")
             shutil.rmtree(copy)
-        ok = ok and killed == len(chosen)
-    print(f"{killed} of {len(chosen)} mutants killed; "
+        ok = ok and killed == len(MUTANTS)
+    print(f"{killed} of {len(MUTANTS)} mutants killed; "
           f"{len(every) - len(bad)} of {len(every)} ids pass unmutated")
     return 0 if ok else 1
 

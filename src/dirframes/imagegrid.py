@@ -140,7 +140,8 @@ def block_mosaic(N, seed=0):
         r0, c0 = rng.integers(0, max(nb - 4, 1), 2)
         h, w = rng.integers(2, max(3, nb // 3), 2)
         vals[r0 : r0 + h, c0 : c0 + w] += rng.uniform(-0.18, 0.18)
-    return np.clip(vals, 0.02, 0.98).repeat(_MOSAIC_TILE, 0).repeat(_MOSAIC_TILE, 1)
+    vals = np.clip(vals, 0.02, 0.98)
+    return np.repeat(np.repeat(vals, _MOSAIC_TILE, axis=0), _MOSAIC_TILE, axis=1)
 
 
 

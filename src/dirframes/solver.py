@@ -391,7 +391,9 @@ def _divergence_guard(residuals):
     iterations (a zero reference never counts)."""
     if not np.isfinite(residuals[-1]):
         raise DivergenceError(f"residual {residuals[-1]} at iteration {len(residuals)}")
-    ref = residuals[-_DIVERGENCE_WINDOW - 1] if len(residuals) > _DIVERGENCE_WINDOW else 0.0
+    if len(residuals) <= _DIVERGENCE_WINDOW:
+        return
+    ref = residuals[-_DIVERGENCE_WINDOW - 1]
     if ref > 0.0 and residuals[-1] > _DIVERGENCE_FACTOR * ref:
         raise DivergenceError(
             f"residual grew from {ref:.3g} to {residuals[-1]:.3g} "

@@ -242,13 +242,39 @@ def test_analysis_matrix_bypasses_public_methods(family, monkeypatch):
 # atoms
 
 
+def _expected_atom(family, M, s):
+    # the atom of subband s worked out from the 1-D transform rows: the outer
+    # product of row k_v (down the block) and row k_h (across it)
+    if family == "pyramid":
+        if s.branch == "lowpass":
+            return np.full((M, M), 1.0 / M)
+        a = _expected_atom("dadcf", M, s)
+        return a - a.mean()
+    if family == "dft":
+        tm = tf.build_dft(M)
+        U = tm.entries + 1j * tm.entries_imag
+        z = np.outer(U[s.k_v], U[s.k_h])
+        return z.real if s.branch == "cos" else z.imag
+    if family in ("dct", "dht"):
+        F = (tf.build_dct if family == "dct" else tf.build_dht)(M).entries
+        return np.outer(F[s.k_v], F[s.k_h])
+    Fc = tf.build_dct(M).entries
+    Fs = (tf.build_dst if family == "dadcf" else tf.build_rdst)(M).entries
+    c = np.outer(Fc[s.k_v], Fc[s.k_h])
+    sn = np.outer(Fs[s.k_v], Fs[s.k_h])
+    if s.branch == "mixed":
+        return c + s.orientation * sn
+    return c if s.branch == "cos" else sn
+
+
 @pytest.mark.parametrize("family, M", [pytest.param(f, 8, id=f) for f in TWO_BRANCH]
                          + [pytest.param(f, 4, id=f"{f}-4") for f in fr.FRAME_FAMILIES])
 def test_atom_norms(family, M):
     # an atom is its analysis row, column-major, times the documented scale:
     # 2 for mixed outputs, M for the pyramid's lowpass, sqrt(2) for the other
     # outputs of the two-branch families and the pyramid, 1 for the
-    # separable baselines; the two-branch atoms then have norm 1 or sqrt(2)
+    # separable baselines; the two-branch atoms then have norm 1 or sqrt(2).
+    # The scaled atom must also match the one built from the 1-D rows.
     op = fr.build_frame(family, M)
     for s in op.subbands:
         a = fr.atom(op, s.index)
@@ -256,6 +282,7 @@ def test_atom_norms(family, M):
         if family in ("dadcf", "rdadcf", "pyramid"):
             scale = {"mixed": 2.0, "lowpass": M}.get(s.branch, np.sqrt(2.0))
         np.testing.assert_array_equal(a, op.analysis[s.index].reshape(M, M, order="F") * scale)
+        np.testing.assert_allclose(a, _expected_atom(family, M, s), atol=1e-12)
         if family in TWO_BRANCH:
             norm = np.linalg.norm(a)
             want = np.sqrt(2.0) if s.branch == "mixed" else 1.0
