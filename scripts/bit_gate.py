@@ -19,10 +19,19 @@ for each case:
   ``observation`` dropped;
 * ``op_norm_sq``, and every ``objective_terms`` value, as ``float.hex``.
 
-The headline run is ``dirframes sense`` on the block mosaic at rate 0.4 and
-noise 0.1, in both sensing modes, each followed by ``dirframes recover``
-with rdadcf-8 and the seam term, in both fidelity modes.  It records the
-bytes of the observation and its sidecar, the PGM and the ``.report.json``.
+The headline run drives every command of the command line:
+
+* ``dirframes sense`` on the block mosaic at rate 0.4 and noise 0.1, in
+  both sensing modes, each followed by ``dirframes recover`` with rdadcf-8
+  and the seam term, in both fidelity modes;
+* ``report`` over those recover runs, with and without ``--average``;
+* ``design`` and ``decompose`` of the block mosaic for every frame family
+  at M = 8, and ``verify --out`` for every family at M = 4 and 8.
+
+It records each command's exit code and the sha256 of every file it
+writes: observations and sidecars, PGMs, ``.report.json`` files, CSVs,
+JSON files and manifests.  A manifest is hashed with its
+``wall_clock_seconds`` dropped, as that is the one field a rerun changes.
 
 The script prints every field whose value differs between the two
 checkouts, and every field that only one of them has, and exits 1 if there
@@ -84,29 +93,61 @@ def _cli_case(solver, case):
     }
 
 
+def _file_fields(path):
+    """The digest of the file at ``path``, or of every file under it, with
+    each manifest's ``wall_clock_seconds`` dropped."""
+    path = Path(path)
+    files = sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+    record = {}
+    for p in files:
+        data = p.read_bytes()
+        if p.name.endswith("manifest.json"):
+            manifest = json.loads(data)
+            manifest.pop("wall_clock_seconds")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        record[str(p)] = _digest(data)
+    return record
+
+
 def _headline(seed, size, work):
-    """The headline sense + recover runs, with paths relative to ``work`` so
-    that the reports of two checkouts can be compared byte for byte."""
-    from dirframes import cli, imagegrid, sensing, solver
+    """The headline command-line runs, with paths relative to ``work`` so
+    that the files of two checkouts can be compared byte for byte."""
+    from dirframes import cli, frames, imagegrid, sensing, solver
 
     os.chdir(work)
     imagegrid.write_pgm(imagegrid.block_mosaic(size, seed=seed), "truth.pgm")
-    record = {}
+    runs = []  # (argv, the files and directories it writes)
     for mode in (sensing.SCRAMBLED_HADAMARD, sensing.COMPLEX_NOISELET):
         obs = f"obs-{mode}.bin"
-        runs = [(obs, ["sense", "--image", "truth.pgm", "--rate", "0.4", "--sigma", "0.1",
-                       "--seed", str(seed + SENSE_SEED_OFFSET), "--mode", mode, "--out", obs])]
+        runs.append((["sense", "--image", "truth.pgm", "--rate", "0.4", "--sigma", "0.1",
+                      "--seed", str(seed + SENSE_SEED_OFFSET), "--mode", mode, "--out", obs],
+                     [obs, f"{obs}.json", f"{obs}.manifest.json"]))
         for fidelity in (solver.FIDELITY_L2BALL, solver.FIDELITY_EQUALITY):
-            out = f"rec-{mode}-{fidelity}.pgm"
-            runs.append((out, ["recover", "--obs", obs, "--family", "rdadcf", "--size", "8",
-                               "--fidelity", fidelity, "--truth", "truth.pgm", "--out", out]))
-        for out, argv in runs:
-            with contextlib.redirect_stdout(sys.stderr):
-                code = cli.main(argv)
-            record[f"{out}/exit"] = code
-            for path in (out, f"{out}.json", f"{out}.report.json"):
-                if Path(path).exists():
-                    record[path] = _digest(Path(path).read_bytes())
+            out = f"runs/rec-{mode}-{fidelity}.pgm"
+            runs.append((["recover", "--obs", obs, "--family", "rdadcf", "--size", "8",
+                          "--fidelity", fidelity, "--truth", "truth.pgm", "--out", out],
+                         [out, f"{out}.report.json", f"{out}.manifest.json"]))
+    runs.append((["report", "--runs", "runs", "--out", "report.csv"], ["report.csv"]))
+    runs.append((["report", "--runs", "runs", "--out", "average.csv", "--average"],
+                 ["average.csv"]))
+    for family in frames.FRAME_FAMILIES:
+        runs.append((["design", "--family", family, "--size", "8", "--out", f"design-{family}"],
+                     [f"design-{family}"]))
+        runs.append((["decompose", "--image", "truth.pgm", "--family", family, "--size", "8",
+                      "--out", f"decompose-{family}"], [f"decompose-{family}"]))
+        for M in (4, 8):
+            out = f"verify-{family}-{M}.json"
+            runs.append((["verify", "--family", family, "--size", str(M), "--out", out], [out]))
+
+    Path("runs").mkdir()
+    record = {}
+    for argv, paths in runs:
+        with contextlib.redirect_stdout(sys.stderr):
+            code = cli.main(argv)
+        record[f"{paths[0]}/exit"] = code
+        for path in paths:
+            if Path(path).exists():
+                record.update(_file_fields(path))
     return record
 
 

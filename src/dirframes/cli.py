@@ -24,6 +24,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 import time
@@ -60,16 +61,10 @@ class _CliError(Exception):
 # small I/O helpers
 
 
-def _load_image(path):
+def _read(load, path):
+    """``load(path)``, with a malformed file's ``ValueError`` as an I/O error."""
     try:
-        return imagegrid.read_pgm(path)
-    except ValueError as exc:
-        raise _CliError(EXIT_IO, f"{path}: {exc}") from exc
-
-
-def _load_observation(path):
-    try:
-        return sensing.load_observation(path)
+        return load(path)
     except ValueError as exc:
         raise _CliError(EXIT_IO, f"{path}: {exc}") from exc
 
@@ -110,16 +105,12 @@ def _blas_core():
     return None
 
 
-def _write_manifest(path, command, args, inputs, outputs, t0):
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "command") and not k.startswith("_")
-    }
+def _write_manifest(path, args, inputs, outputs, t0):
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     _write_json(
         path,
         {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             # what decides the output bytes besides the parameters
             "environment": {
@@ -143,36 +134,35 @@ def _write_manifest(path, command, args, inputs, outputs, t0):
 def cmd_design(args):
     t0 = time.perf_counter()
     op = frames.build_frame(args.family, args.size)
-    analysis = op.analysis  # before any output, as it may refuse the size
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    name = f"{args.family}_{args.size}_analysis.csv"
-    transforms.matrix_to_csv(analysis, out / name)
-    written.append(name)
-
-    _write_json(out / "subbands.json", op.subbands_json_dict())
-    written.append("subbands.json")
-
+    # every file's content, by name, before any output, as the analysis
+    # matrix may refuse the size: a matrix for a CSV, a record for JSON
+    files = {
+        f"{args.family}_{args.size}_analysis.csv": op.analysis,
+        "subbands.json": {
+            "family": op.family,
+            "block_size": op.block_size,
+            "n_out": op.n_out,
+            "subbands": [dataclasses.asdict(s) for s in op.subbands],
+        },
+    }
     for tm in op.transforms:
-        if tm.entries_imag is not None:
-            for part, arr in (("real", tm.entries), ("imag", tm.entries_imag)):
-                fn = f"{tm.kind}_{args.size}_{part}.csv"
-                transforms.matrix_to_csv(arr, out / fn)
-                written.append(fn)
-        else:
-            fn = f"{tm.kind}_{args.size}.csv"
-            transforms.matrix_to_csv(tm.entries, out / fn)
-            written.append(fn)
-
+        parts = {"": tm.entries} if tm.entries_imag is None else {
+            "_real": tm.entries, "_imag": tm.entries_imag}
+        for suffix, entries in parts.items():
+            files[f"{tm.kind}_{args.size}{suffix}.csv"] = entries
     if args.family == "rdadcf":
         gamma = transforms.extract_gamma(op.transforms[1], transforms.build_dst(args.size))
-        _write_json(out / "givens.json", transforms.factor_givens(gamma).to_json_dict())
-        written.append("givens.json")
+        files["givens.json"] = transforms.factor_givens(gamma).to_json_dict()
 
-    _write_manifest(out / "manifest.json", "design", args, [], written, t0)
-    print(f"wrote {len(written)} files to {out}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            transforms.matrix_to_csv(content, out / name)
+        else:
+            _write_json(out / name, content)
+    _write_manifest(out / "manifest.json", args, [], list(files), t0)
+    print(f"wrote {len(files)} files to {out}")
     return EXIT_OK
 
 
@@ -180,19 +170,13 @@ def cmd_design(args):
 # verify
 
 
-def _bound_check(name, value, limit, upper=True):
-    ok = value < limit if upper else value > limit
-    cmp = "<" if upper else ">"
+_COMPARE = {"<": operator.lt, ">": operator.gt, "==": operator.eq}
+
+
+def _check(name, value, cmp, limit):
+    """One check of the verify report: ``value cmp limit``."""
+    ok = _COMPARE[cmp](value, limit)
     return {"name": name, "value": value, "limit": f"{cmp} {limit:g}", "pass": bool(ok)}
-
-
-def _equal_check(name, value, expected):
-    return {
-        "name": name,
-        "value": int(value),
-        "limit": f"== {expected}",
-        "pass": bool(value == expected),
-    }
 
 
 def _rank(matrix):
@@ -201,26 +185,24 @@ def _rank(matrix):
 
 
 def _verify_family(family, M):
-    checks = []
+    """The family's invariant checks, as (name, value, cmp, limit), in report order."""
     op = frames.build_frame(family, M)
 
     if family == "pyramid":
         rng = np.random.Generator(np.random.Philox(key=[0, 0x9F2A]))
         blocks = rng.standard_normal((64, M, M))
         rt = float(np.max(np.abs(op.synthesize_blocks(op.analyze_blocks(blocks)) - blocks)))
-        checks.append(_bound_check("round_trip_residual", rt, _INVARIANT_TOL))
-        checks.append(
-            _bound_check("inner_parseval_residual", op.inner.parseval_residual(), _INVARIANT_TOL)
-        )
-    else:
-        checks.append(_bound_check("parseval_residual", op.parseval_residual(), _INVARIANT_TOL))
-
+        return [
+            ("round_trip_residual", rt, "<", _INVARIANT_TOL),
+            ("inner_parseval_residual", op.inner.parseval_residual(), "<", _INVARIANT_TOL),
+        ]
+    checks = [("parseval_residual", op.parseval_residual(), "<", _INVARIANT_TOL)]
     if family not in ("dadcf", "rdadcf"):
         return checks
 
     p = 1 if family == "dadcf" else 2
-    n_mixed = sum(1 for s in op.subbands if s.branch == "mixed")
-    checks.append(_equal_check("directional_count", n_mixed, 2 * (M - p) ** 2))
+    mixed = [s for s in op.subbands if s.branch == "mixed"]
+    checks.append(("directional_count", len(mixed), "==", 2 * (M - p) ** 2))
 
     cos_tm, sin_tm = op.transforms
     Fc, Fs = cos_tm.entries, sin_tm.entries
@@ -228,16 +210,14 @@ def _verify_family(family, M):
         min(r, 1.0 - r)
         for r in (frames.analyticity_ratio(Fc[k], Fs[k]) for k in range(p, M))
     )
-    checks.append(_bound_check("analyticity_max_sidedness", sidedness, _SIDEDNESS_LIMIT))
+    checks.append(("analyticity_max_sidedness", sidedness, "<", _SIDEDNESS_LIMIT))
 
     if family == "dadcf":
         worst = 0.0
-        for s in op.subbands:
-            if s.branch != "mixed":
-                continue
+        for s in mixed:
             ref = frames.directional_cosine_atom(M, s.k_v, s.k_h, s.orientation)
             worst = max(worst, float(np.max(np.abs(frames.atom(op, s.index) - ref))))
-        checks.append(_bound_check("mixed_atom_identity", worst, _ATOM_TOL))
+        checks.append(("mixed_atom_identity", worst, "<", _ATOM_TOL))
         return checks
 
     # rdadcf-specific structure
@@ -246,13 +226,8 @@ def _verify_family(family, M):
     ones = np.ones(M)
     target = np.zeros(M)
     target[0] = np.sqrt(M)
-    checks.append(
-        _bound_check(
-            "regularity_residual",
-            float(np.max(np.abs(rdst.entries @ ones - target))),
-            _INVARIANT_TOL,
-        )
-    )
+    regularity = float(np.max(np.abs(rdst.entries @ ones - target)))
+    checks.append(("regularity_residual", regularity, "<", _INVARIANT_TOL))
     row_res = max(
         float(np.max(np.abs(rdst.entries[0] - np.sqrt(1.0 / M)))),
         float(np.max(np.abs(rdst.entries[1] - dst.entries[0]))),
@@ -261,93 +236,63 @@ def _verify_family(family, M):
             for l in range(1, M // 2)
         ),
     )
-    checks.append(_bound_check("row_structure_residual", row_res, _INVARIANT_TOL))
-    checks.append(_bound_check("orthogonality_residual", rdst.gram_residual(), _INVARIANT_TOL))
+    checks.append(("row_structure_residual", row_res, "<", _INVARIANT_TOL))
+    checks.append(("orthogonality_residual", rdst.gram_residual(), "<", _INVARIANT_TOL))
 
     steps = transforms.rdst_design_steps(M)
     alt = np.sqrt(1.0 / M) * np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
     v = steps[0].null_vector
     null_res = min(float(np.max(np.abs(v - alt))), float(np.max(np.abs(v + alt))))
-    checks.append(_bound_check("first_null_vector_residual", null_res, _INVARIANT_TOL))
+    checks.append(("first_null_vector_residual", null_res, "<", _INVARIANT_TOL))
 
     modified = transforms.build_modified_dst(M).entries
-    checks.append(_equal_check("modified_sine_rank", _rank(modified), M - 1))
-    checks.append(_equal_check("first_zeroed_rank", _rank(steps[0].zeroed), M - 1))
+    checks.append(("modified_sine_rank", _rank(modified), "==", M - 1))
+    checks.append(("first_zeroed_rank", _rank(steps[0].zeroed), "==", M - 1))
 
     if M == 4:
         gram = modified @ modified.T
-        checks.append(
-            _bound_check("gram_fixture_01", abs(abs(gram[0, 1]) - 0.92388), 5e-4)
-        )
-        checks.append(
-            _bound_check("gram_fixture_03", abs(abs(gram[0, 3]) - 0.38268), 5e-4)
-        )
+        checks.append(("gram_fixture_01", abs(abs(gram[0, 1]) - 0.92388), "<", 5e-4))
+        checks.append(("gram_fixture_03", abs(abs(gram[0, 3]) - 0.38268), "<", 5e-4))
 
     cond = transforms.redesign_conditioning(M)
-    checks.append(
-        _bound_check(
-            "conditioning_max_offdiag",
-            max(c["max_offdiag"] for c in cond),
-            0.5 + 1e-9,
-        )
-    )
-    checks.append(
-        _bound_check(
-            "conditioning_min_updated_diag",
-            min(c["min_updated_diag"] for c in cond),
-            1.0 - 1e-9,
-            upper=False,
-        )
-    )
+    max_offdiag = max(c["max_offdiag"] for c in cond)
+    checks.append(("conditioning_max_offdiag", max_offdiag, "<", 0.5 + 1e-9))
+    min_diag = min(c["min_updated_diag"] for c in cond)
+    checks.append(("conditioning_min_updated_diag", min_diag, ">", 1.0 - 1e-9))
 
     gamma = transforms.extract_gamma(rdst, dst)
     cascade = transforms.factor_givens(gamma)
-    checks.append(
-        _equal_check("givens_rotation_count", len(cascade.rotations), M * (M - 2) // 8)
-    )
+    checks.append(("givens_rotation_count", len(cascade.rotations), "==", M * (M - 2) // 8))
 
     k = np.arange(1, M, 2)
     closed = np.sqrt(2.0) / (np.sqrt(M) * np.sin(np.pi * k / (2 * M)))
-    measured = dst.entries[k] @ ones
-    checks.append(
-        _bound_check(
-            "sine_row_dc_closed_form",
-            float(np.max(np.abs(measured - closed))),
-            _INVARIANT_TOL,
-        )
-    )
+    dc_res = float(np.max(np.abs(dst.entries[k] @ ones - closed)))
+    checks.append(("sine_row_dc_closed_form", dc_res, "<", _INVARIANT_TOL))
     return checks
 
 
 def cmd_verify(args):
     if args.matrix_csv:
-        checks = []
         try:
             A = transforms.matrix_from_csv(args.matrix_csv)
             res = float(np.max(np.abs(A.T @ A - np.eye(A.shape[1]))))
-            checks.append(_bound_check("parseval_residual", res, _INVARIANT_TOL))
+            checks = [_check("parseval_residual", res, "<", _INVARIANT_TOL)]
         except ValueError as exc:
-            checks.append(
+            checks = [
                 {"name": "load_matrix", "value": str(exc), "limit": "parseable CSV", "pass": False}
-            )
-        report = {"matrix_csv": args.matrix_csv, "version": __version__, "checks": checks}
+            ]
+        report = {"matrix_csv": args.matrix_csv}
     elif args.family and args.size:
-        checks = _verify_family(args.family, args.size)
-        report = {
-            "family": args.family,
-            "size": args.size,
-            "version": __version__,
-            "checks": checks,
-        }
+        checks = [_check(*c) for c in _verify_family(args.family, args.size)]
+        report = {"family": args.family, "size": args.size}
     else:
         raise _CliError(EXIT_USAGE, "verify needs --family and --size, or --matrix-csv")
 
+    report.update({"version": __version__, "checks": checks})
     report["pass"] = all(c["pass"] for c in checks)
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(args.out, report)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if not report["pass"]:
         failing = ", ".join(c["name"] for c in checks if not c["pass"])
         print(f"failing invariants: {failing}", file=sys.stderr)
@@ -377,7 +322,7 @@ def _plane_mosaic(planes, rows, cols):
 
 def cmd_decompose(args):
     t0 = time.perf_counter()
-    img = _load_image(args.image)
+    img = _read(imagegrid.read_pgm, args.image)
     op = frames.build_frame(args.family, args.size)
     grid = imagegrid.to_blocks(img, args.size)
     coeffs = op.analyze_blocks(grid.blocks)  # (L, n_out)
@@ -428,7 +373,6 @@ def cmd_decompose(args):
     )
     _write_manifest(
         out / "manifest.json",
-        "decompose",
         args,
         [str(args.image)],
         ["coefficients.csv", "mosaic.pgm", "energy.json"],
@@ -444,14 +388,13 @@ def cmd_decompose(args):
 
 def cmd_sense(args):
     t0 = time.perf_counter()
-    img = _load_image(args.image)
+    img = _read(imagegrid.read_pgm, args.image)
     obs = sensing.sense_image(
         img, args.rate, args.sigma, args.seed, mode=args.mode, seed_noise=args.seed_noise
     )
     sensing.save_observation(obs, args.out)
     _write_manifest(
         args.out + ".manifest.json",
-        "sense",
         args,
         [str(args.image)],
         [args.out, args.out + ".json"],
@@ -479,10 +422,10 @@ def _load_config(path):
 
 def cmd_recover(args):
     t0 = time.perf_counter()
-    obs = _load_observation(args.obs)
+    obs = _read(sensing.load_observation, args.obs)
     op = frames.build_frame(args.family, args.size)
     config = _load_config(args.config) if args.config else solver.SolverConfig()
-    truth = _load_image(args.truth) if args.truth else None
+    truth = _read(imagegrid.read_pgm, args.truth) if args.truth else None
     if truth is not None:
         solver.check_truth_shape(truth, (obs.height, obs.width))
 
@@ -524,7 +467,6 @@ def cmd_recover(args):
     _write_json(args.out + ".report.json", summary)
     _write_manifest(
         args.out + ".manifest.json",
-        "recover",
         args,
         [str(args.obs)] + ([str(args.truth)] if args.truth else []),
         [args.out, args.out + ".report.json"],
@@ -552,11 +494,8 @@ _REPORT_FIELDS = (
 
 
 def _load_report(path):
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except ValueError as exc:  # malformed JSON or not UTF-8
-        raise _CliError(EXIT_IO, f"{path}: {exc}") from exc
+    # malformed JSON and text that is not UTF-8 both raise ValueError
+    d = _read(lambda p: json.loads(p.read_text()), path)
     ok = (
         isinstance(d, dict)
         and _is_number(d.get("iterations"))
@@ -582,30 +521,25 @@ def cmd_report(args):
     for path in paths:
         d = _load_report(path)
         rows.append({k: d.get(k) for k in _REPORT_FIELDS})
-    rows.sort(key=lambda r: tuple(str(r[k]) for k in ("image", "family", "size", "rate", "problem", "seed")))
+    rows.sort(key=lambda r: tuple(str(r[k]) for k in _REPORT_FIELDS[:6]))
 
     if args.average:
         grouped = {}
         for r in rows:
-            key = (r["image"], r["family"], r["size"], r["rate"], r["problem"])
-            grouped.setdefault(key, []).append(r)
+            grouped.setdefault(tuple(r[k] for k in _REPORT_FIELDS[:5]), []).append(r)
         rows = []
         for key, members in sorted(grouped.items(), key=lambda kv: tuple(map(str, kv[0]))):
             psnrs = [m["psnr"] for m in members if m["psnr"] is not None]
             base = [m["baseline_psnr"] for m in members if m["baseline_psnr"] is not None]
             rows.append(
-                {
-                    "image": key[0],
-                    "family": key[1],
-                    "size": key[2],
-                    "rate": key[3],
-                    "problem": key[4],
-                    "seed": f"mean-of-{len(members)}",
-                    "psnr": float(np.mean(psnrs)) if psnrs else None,
-                    "baseline_psnr": float(np.mean(base)) if base else None,
-                    "iterations": int(np.mean([m["iterations"] for m in members])),
-                    "stop_reason": "",
-                }
+                dict(
+                    zip(_REPORT_FIELDS[:5], key),
+                    seed=f"mean-of-{len(members)}",
+                    psnr=float(np.mean(psnrs)) if psnrs else None,
+                    baseline_psnr=float(np.mean(base)) if base else None,
+                    iterations=int(np.mean([m["iterations"] for m in members])),
+                    stop_reason="",
+                )
             )
 
     def fmt(v):
@@ -634,10 +568,11 @@ def build_parser():
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    frame = argparse.ArgumentParser(add_help=False)  # the flags that pick a frame
+    frame.add_argument("--family", required=True, choices=frames.FRAME_FAMILIES)
+    frame.add_argument("--size", required=True, type=int, help="block size M (power of two)")
 
-    d = sub.add_parser("design", help="write frame matrices and metadata")
-    d.add_argument("--family", required=True, choices=frames.FRAME_FAMILIES)
-    d.add_argument("--size", required=True, type=int, help="block size M (power of two)")
+    d = sub.add_parser("design", parents=[frame], help="write frame matrices and metadata")
     d.add_argument("--out", required=True, help="output directory")
     d.set_defaults(func=cmd_design)
 
@@ -648,10 +583,8 @@ def build_parser():
     v.add_argument("--out", help="also write the JSON report here")
     v.set_defaults(func=cmd_verify)
 
-    dc = sub.add_parser("decompose", help="write per-subband coefficient planes")
+    dc = sub.add_parser("decompose", parents=[frame], help="write per-subband coefficient planes")
     dc.add_argument("--image", required=True, help="input PGM image")
-    dc.add_argument("--family", required=True, choices=frames.FRAME_FAMILIES)
-    dc.add_argument("--size", required=True, type=int)
     dc.add_argument("--out", required=True, help="output directory")
     dc.set_defaults(func=cmd_decompose)
 
@@ -669,10 +602,8 @@ def build_parser():
     s.add_argument("--out", required=True, help="output observation file")
     s.set_defaults(func=cmd_sense)
 
-    r = sub.add_parser("recover", help="recover an image from an observation")
+    r = sub.add_parser("recover", parents=[frame], help="recover an image from an observation")
     r.add_argument("--obs", required=True, help="observation file from `sense`")
-    r.add_argument("--family", required=True, choices=frames.FRAME_FAMILIES)
-    r.add_argument("--size", required=True, type=int)
     r.add_argument("--problem", type=int, choices=(1, 2), default=2,
                    help="1: frame sparsity only; 2: adds the boundary-difference term")
     r.add_argument("--fidelity", choices=(solver.FIDELITY_L2BALL, solver.FIDELITY_EQUALITY),

@@ -25,7 +25,8 @@ vectors.  Four families are provided:
 
 Coefficient ordering (two-branch families): scaled cosine coefficients in
 raster (k_v, k_h) order, then scaled sine, then +1-oriented mixed outputs,
-then -1-oriented, each raster ordered.  ``subbands`` records the mapping.
+then -1-oriented, each raster ordered.  ``subbands`` records the mapping,
+as plain dataclasses; ``dirframes design`` writes them to ``subbands.json``.
 
 Synthesis is the pseudo-inverse (A^T A)^-1 A^T, which for the Parseval
 families is the adjoint and for the pyramid the adjoint with the mean
@@ -80,7 +81,7 @@ calls whatever the BLAS kernels and thread count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,14 +226,6 @@ class FrameOperator:
         a = self.analysis
         g = a.T @ a
         return float(np.max(np.abs(g - np.eye(self.block_size**2))))
-
-    def subbands_json_dict(self):
-        return {
-            "family": self.family,
-            "block_size": self.block_size,
-            "n_out": self.n_out,
-            "subbands": [asdict(s) for s in self.subbands],
-        }
 
     # -- internals ---------------------------------------------------------
 

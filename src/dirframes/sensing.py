@@ -196,7 +196,9 @@ class MeasurementOperator:
         if q.shape != (self.n,) or q.dtype.kind not in "iu":
             raise ValueError(f"expected a length-{self.n} integer index, got {q.dtype} {q.shape}")
         q = q.astype(np.intp, copy=False)
-        if q.min() < 0 or not np.all(np.bincount(q, minlength=self.n) == 1):
+        # the range first, as bincount allocates up to the largest entry
+        in_range = q.min() >= 0 and q.max() < self.n
+        if not (in_range and np.all(np.bincount(q, minlength=self.n) == 1)):
             raise ValueError("input order must be a permutation of range(n)")
         op = copy.copy(self)
         op._set_gather(q[self._gather])

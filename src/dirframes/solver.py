@@ -135,16 +135,14 @@ def prox_l1(v, gamma):
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
-def prox_l12(v, gamma, group_size=2):
-    """Group soft thresholding on contiguous groups: prox of gamma * ||.||_{1,2}."""
+def prox_l12(v, gamma):
+    """Group soft thresholding on contiguous pairs: prox of gamma * ||.||_{1,2}."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
     v = np.asarray(v, dtype=np.float64)
-    if v.size % group_size:
-        raise ValueError(f"length {v.size} not divisible by group size {group_size}")
-    g = v.reshape(-1, group_size)
+    if v.size % 2:
+        raise ValueError(f"length {v.size} does not divide into pairs")
+    g = v.reshape(-1, 2)
     norms = np.linalg.norm(g, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > 0.0, np.maximum(1.0 - gamma / norms, 0.0), 0.0)

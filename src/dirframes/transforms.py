@@ -280,23 +280,14 @@ def extract_gamma(rdst, dst):
 class GivensCascade:
     """Plane-rotation factorization of an orthogonal matrix.
 
-    ``compose()`` returns diag(signs) @ R_1 @ R_2 @ ... in stored order, where
-    R_t rotates plane ``rotations[t][0]`` by ``rotations[t][1]`` radians.
-    A determinant of -1 is absorbed by ``signs`` (last entry -1).
+    The factored matrix is diag(signs) @ R_1 @ R_2 @ ... in stored order,
+    where R_t rotates plane ``rotations[t][0]`` by ``rotations[t][1]``
+    radians.  A determinant of -1 is absorbed by ``signs`` (last entry -1).
     """
 
     size: int
     rotations: tuple = field(default_factory=tuple)  # ((i, j), angle), i < j
     signs: np.ndarray = None
-
-    def compose(self):
-        out = np.eye(self.size)
-        for (i, j), theta in reversed(self.rotations):
-            c, s = math.cos(theta), math.sin(theta)
-            ri = c * out[i] - s * out[j]
-            rj = s * out[i] + c * out[j]
-            out[i], out[j] = ri, rj
-        return self.signs[:, None] * out
 
     def to_json_dict(self):
         return {

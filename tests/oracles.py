@@ -1,7 +1,9 @@
 """Reference computations that the package no longer runs, kept as oracles:
 the projections behind the solver's closed-form dual steps, the
-rotating-write butterfly whose bytes the fixed-order kernel keeps, and the
-zoneplate test image."""
+rotating-write butterfly whose bytes the fixed-order kernel keeps, the
+recomposition of a Givens cascade and the zoneplate test image."""
+
+import math
 
 import numpy as np
 
@@ -36,6 +38,19 @@ def butterfly(x, powers, scratch):
         src, dst = dst, src
         bits -= s
     return src
+
+
+def compose(cascade):
+    """The matrix a ``transforms.GivensCascade`` factors: diag(signs) @ R_1 @
+    R_2 @ ... in stored order, where R_t rotates plane ``rotations[t][0]`` by
+    ``rotations[t][1]`` radians."""
+    out = np.eye(cascade.size)
+    for (i, j), theta in reversed(cascade.rotations):
+        c, s = math.cos(theta), math.sin(theta)
+        ri = c * out[i] - s * out[j]
+        rj = s * out[i] + c * out[j]
+        out[i], out[j] = ri, rj
+    return cascade.signs[:, None] * out
 
 
 def zoneplate(N):

@@ -131,6 +131,59 @@ def test_verify_family_passes(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == report
 
 
+def _rdadcf_layout(count, rank, rotations, fixtures=()):
+    return [
+        ("parseval_residual", "< 1e-10"),
+        ("directional_count", f"== {count}"),
+        ("analyticity_max_sidedness", "< 0.15"),
+        ("regularity_residual", "< 1e-10"),
+        ("row_structure_residual", "< 1e-10"),
+        ("orthogonality_residual", "< 1e-10"),
+        ("first_null_vector_residual", "< 1e-10"),
+        ("modified_sine_rank", f"== {rank}"),
+        ("first_zeroed_rank", f"== {rank}"),
+        *fixtures,
+        ("conditioning_max_offdiag", "< 0.5"),
+        ("conditioning_min_updated_diag", "> 1"),
+        ("givens_rotation_count", f"== {rotations}"),
+        ("sine_row_dc_closed_form", "< 1e-10"),
+    ]
+
+
+def _dadcf_layout(count):
+    return [
+        ("parseval_residual", "< 1e-10"),
+        ("directional_count", f"== {count}"),
+        ("analyticity_max_sidedness", "< 0.15"),
+        ("mixed_atom_identity", "< 1e-12"),
+    ]
+
+
+_PYRAMID_LAYOUT = [("round_trip_residual", "< 1e-10"), ("inner_parseval_residual", "< 1e-10")]
+_SEPARABLE_LAYOUT = [("parseval_residual", "< 1e-10")]
+
+# the (name, limit) of every check in report order, written out per case
+_VERIFY_LAYOUT = {
+    ("dadcf", 4): _dadcf_layout(18),
+    ("dadcf", 8): _dadcf_layout(98),
+    ("rdadcf", 4): _rdadcf_layout(8, rank=3, rotations=1, fixtures=(
+        ("gram_fixture_01", "< 0.0005"), ("gram_fixture_03", "< 0.0005"))),
+    ("rdadcf", 8): _rdadcf_layout(72, rank=7, rotations=6),
+    **{("pyramid", M): _PYRAMID_LAYOUT for M in (4, 8)},
+    **{(f, M): _SEPARABLE_LAYOUT for f in ("dct", "dht", "dft") for M in (4, 8)},
+}
+
+
+@pytest.mark.parametrize("family, M", sorted(_VERIFY_LAYOUT))
+def test_verify_report_layout(family, M, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert _run("verify", "--family", family, "--size", str(M), "--out", str(out)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["limit"]) for c in report["checks"]] == _VERIFY_LAYOUT[family, M]
+    assert all(c["pass"] is True for c in report["checks"]) and report["pass"] is True
+    assert json.loads(out.read_text()) == report
+
+
 @pytest.mark.parametrize("family", ("dadcf", "pyramid", "dht"))
 def test_verify_other_families_pass(family, capsys):
     assert _run("verify", "--family", family, "--size", "8") == 0

@@ -252,8 +252,10 @@ def test_operator_rejects_length_past_ceiling():
 
 def test_operator_in_order_rejects_non_permutation():
     op = sensing.MeasurementOperator(16, rate=0.5, seed=1)
+    huge = np.arange(16)
+    huge[3] = 2**40  # rejected before bincount could allocate 8 TiB for it
     for q in (np.zeros(16, int), np.arange(8), np.arange(16.0), np.arange(1, 17),
-              np.arange(-1, 15)):
+              np.arange(-1, 15), huge):
         with pytest.raises(ValueError):
             op.in_order(q)
 

@@ -61,7 +61,7 @@ def test_prox_l1_variational():
 def test_prox_l12_closed_form():
     # one group above threshold, one below, one exactly zero
     v = np.array([3.0, 4.0, 0.1, 0.1, 0.0, 0.0])
-    out = sv.prox_l12(v, 1.0, group_size=2)
+    out = sv.prox_l12(v, 1.0)
     np.testing.assert_allclose(out[:2], (1.0 - 1.0 / 5.0) * v[:2])
     np.testing.assert_allclose(out[2:], 0.0)
 
@@ -74,7 +74,7 @@ def test_prox_l12_variational():
     def g(u):
         return float(np.sum(np.linalg.norm(u.reshape(-1, 2), axis=1)))
 
-    p = sv.prox_l12(v, gamma, group_size=2)
+    p = sv.prox_l12(v, gamma)
     _check_prox_optimal(p, v, gamma, g, _candidates(rng, p))
 
 
