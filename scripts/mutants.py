@@ -46,6 +46,8 @@ _ATOMS = [f"tests/test_frames.py::test_atom_norms[{case}]"
     "tests/test_acceptance.py::test_criterion_4_atom_identities",
 ]
 
+_ORTHONORMAL = "tests/test_transforms.py::test_transform_matrix_rejects_rows_that_are_not_orthonormal"
+
 # (name, file, exact old text, new text, ids that must fail)
 MUTANTS = [
     ("primal-copy", "src/dirframes/solver.py",
@@ -68,6 +70,14 @@ MUTANTS = [
      'op.analysis[index].reshape(M, M, order="F")',
      "op.analysis[index].reshape(M, M)",
      _ATOMS),
+    ("orthonormality-unchecked", "src/dirframes/transforms.py",
+     "        if res > _GRAM_TOL:\n",
+     "        if False:\n",
+     [f"{_ORTHONORMAL}[real]", f"{_ORTHONORMAL}[complex]"]),
+    ("gram-without-conj", "src/dirframes/transforms.py",
+     "self.entries @ self.entries.conj().T",
+     "self.entries @ self.entries.T",
+     [f"{_ORTHONORMAL}[complex]"]),
 ]
 
 

@@ -21,11 +21,15 @@ place, ``_PASSES``:
   rotates the group's bits to the top of the index; after every bit has
   been through one group, the index order is back where it started.
 
-Either way each output entry is the same 2^s-term BLAS dot, in the same
-order, of the same inputs, so the two layouts give the same bytes; they
-differ only in where the products are written.  Min over 40 interleaved
-rounds, in ms per pass at n = 2^16, one BLAS thread, OpenBLAS ``SkylakeX``
-kernels on a shared 2-core VM, two rounds:
+The two layouts apply the same groups in the same order and differ in
+where the products are written.  For float64 the bytes match: the fixed
+order gives those of the rotating write at every n tested, 2 to 2^18.  For
+complex128 they do not: run in the fixed order, the noiselets at n = 32
+differ from the rotating write in 29 of 32 entries, by up to 1.9e-15
+(every other n tested matched), so the noiselets' bytes depend on their
+layout.  Min over 40 interleaved rounds, in ms per pass at n = 2^16, one
+BLAS thread, OpenBLAS ``SkylakeX`` kernels on a shared 2-core VM, two
+rounds:
 
     dtype       bits     rotating write   fixed order
     float64     0-3      0.077-0.097      0.073-0.098

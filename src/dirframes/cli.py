@@ -146,8 +146,8 @@ def cmd_design(args):
         },
     }
     for tm in op.transforms:
-        parts = {"": tm.entries} if tm.entries_imag is None else {
-            "_real": tm.entries, "_imag": tm.entries_imag}
+        ent = tm.entries
+        parts = {"_real": ent.real, "_imag": ent.imag} if np.iscomplexobj(ent) else {"": ent}
         for suffix, entries in parts.items():
             files[f"{tm.kind}_{args.size}{suffix}.csv"] = entries
     if args.family == "rdadcf":
@@ -245,7 +245,7 @@ def _verify_family(family, M):
     null_res = min(float(np.max(np.abs(v - alt))), float(np.max(np.abs(v + alt))))
     checks.append(("first_null_vector_residual", null_res, "<", _INVARIANT_TOL))
 
-    modified = transforms.build_modified_dst(M).entries
+    modified = transforms.build_modified_dst(M)
     checks.append(("modified_sine_rank", _rank(modified), "==", M - 1))
     checks.append(("first_zeroed_rank", _rank(steps[0].zeroed), "==", M - 1))
 
@@ -324,24 +324,23 @@ def cmd_decompose(args):
     t0 = time.perf_counter()
     img = _read(imagegrid.read_pgm, args.image)
     op = frames.build_frame(args.family, args.size)
-    grid = imagegrid.to_blocks(img, args.size)
-    coeffs = op.analyze_blocks(grid.blocks)  # (L, n_out)
+    blocks = imagegrid.to_blocks(img, args.size)
+    rows, cols = img.shape[0] // args.size, img.shape[1] // args.size
+    coeffs = op.analyze_blocks(blocks)  # (L, n_out)
     planes = np.ascontiguousarray(coeffs.T)  # one raster plane per subband
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     transforms.matrix_to_csv(planes, out / "coefficients.csv")
-    imagegrid.write_pgm(_plane_mosaic(planes, grid.rows, grid.cols), out / "mosaic.pgm")
+    imagegrid.write_pgm(_plane_mosaic(planes, rows, cols), out / "mosaic.pgm")
 
     energies = (planes**2).sum(axis=1)
     total = float(energies.sum())
 
     # DC leakage: analyze the per-block-mean field and measure how much of it
     # lands outside the nominal DC subbands (k_v = k_h = 0, non-mixed).
-    means = grid.blocks.mean(axis=(1, 2))
-    flat = np.ascontiguousarray(
-        np.broadcast_to(means[:, None, None], grid.blocks.shape)
-    )
+    means = blocks.mean(axis=(1, 2))
+    flat = np.ascontiguousarray(np.broadcast_to(means[:, None, None], blocks.shape))
     dc_energy = (op.analyze_blocks(flat) ** 2).sum(axis=0)
     dc_idx = [
         s.index
@@ -357,7 +356,7 @@ def cmd_decompose(args):
             "family": args.family,
             "size": args.size,
             "image": str(args.image),
-            "plane_shape": [grid.rows, grid.cols],
+            "plane_shape": [rows, cols],
             "total_energy": total,
             "dc_leakage": {
                 "lowpass_indices": dc_idx,
@@ -405,18 +404,22 @@ def cmd_sense(args):
 
 
 def _load_config(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    # malformed JSON and text that is not UTF-8 both raise ValueError
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise _CliError(EXIT_USAGE, f"{path}: config must be a JSON object")
     allowed = {"gamma1", "gamma2", "stop_tol", "max_iters"}
     unknown = set(raw) - allowed
     if unknown:
-        raise _CliError(EXIT_USAGE, f"unknown config keys: {sorted(unknown)}")
+        raise _CliError(EXIT_USAGE, f"{path}: unknown config keys: {sorted(unknown)}")
     for key, value in raw.items():
         # abs() <= max also rejects nan, and ints too large for a float
         if not (_is_number(value) and abs(value) <= sys.float_info.max):
-            raise _CliError(EXIT_USAGE, f"config {key} must be a finite number, got {value!r}")
+            raise _CliError(EXIT_USAGE,
+                            f"{path}: config {key} must be a finite number, got {value!r}")
     return solver.SolverConfig(**raw)
 
 
@@ -427,7 +430,7 @@ def cmd_recover(args):
     config = _load_config(args.config) if args.config else solver.SolverConfig()
     truth = _read(imagegrid.read_pgm, args.truth) if args.truth else None
     if truth is not None:
-        solver.check_truth_shape(truth, (obs.height, obs.width))
+        solver.check_image_shape(truth, (obs.height, obs.width), "truth image")
 
     epsilon = args.epsilon
     if args.epsilon_oracle:

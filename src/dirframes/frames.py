@@ -38,6 +38,7 @@ analysis matrix (``FrameOperator.analysis``) is that operator applied to the
 column-major unit basis, and ``transforms`` holds the 1-D designs the
 operator is built from: (DCT, sine companion) for the two-branch families
 and the pyramid, the single DCT, DHT or DFT for the separable baselines.
+Each design is one matrix, real but for the DFT's, which is complex.
 
 How a frame is applied depends on its block size, and nothing else.  For
 M <= 16 ``analyze_blocks`` and ``adjoint_blocks`` are a matrix product (one
@@ -383,7 +384,7 @@ class _ComplexSeparableFrame(FrameOperator):
 
     def __init__(self, tm):
         M = tm.size
-        self._U = tm.entries + 1j * tm.entries_imag
+        self._U = tm.entries
         subbands = [Subband(i, "cos", i % M, i // M, None) for i in range(M * M)]
         subbands += [
             Subband(M * M + i, "sin", i % M, i // M, None) for i in range(M * M)

@@ -1,19 +1,19 @@
-"""Image/block plumbing: block views, PGM I/O, PSNR, test images.
+"""Image/block plumbing: block stacks, PGM I/O, PSNR, test images.
 
 Conventions: images are 2-D float64 arrays with values in [0, 1].  A block is
 vectorized column-major (entry M*n + m holds pixel (m, n)); blocks are
-concatenated in raster order (left-to-right, top-to-bottom).
+concatenated in raster order (left-to-right, top-to-bottom).  The blocks of
+an image are a plain (L, M, M) array, the stack: ``to_blocks`` cuts an image
+into one and ``from_blocks`` puts it back, given the image's width.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BlockGrid",
     "to_blocks",
     "from_blocks",
     "psnr",
@@ -36,33 +36,28 @@ def _check_image(img):
     return img
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """Raster-ordered stack of M x M blocks covering an image."""
-
-    block_size: int
-    rows: int      # number of block rows
-    cols: int      # number of block columns
-    blocks: np.ndarray  # (rows*cols, M, M)
-
-
 def to_blocks(img, M):
+    """The raster-ordered (L, M, M) stack of the M x M blocks of an image."""
     img = _check_image(img)
     H, W = img.shape
     if H % M or W % M:
         raise ValueError(f"image {H}x{W} is not a multiple of block size {M}")
     r, c = H // M, W // M
     blocks = img.reshape(r, M, c, M).transpose(0, 2, 1, 3).reshape(r * c, M, M)
-    return BlockGrid(M, r, c, np.ascontiguousarray(blocks))
+    return np.ascontiguousarray(blocks)
 
 
-def from_blocks(grid):
-    M, r, c = grid.block_size, grid.rows, grid.cols
-    return (
-        grid.blocks.reshape(r, c, M, M)
-        .transpose(0, 2, 1, 3)
-        .reshape(r * M, c * M)
-    )
+def from_blocks(blocks, width):
+    """The image ``width`` pixels wide whose ``to_blocks`` stack is
+    ``blocks``; ``ValueError`` when the stack does not tile such an image."""
+    if blocks.ndim != 3 or not blocks.shape[1] == blocks.shape[2] > 0:
+        raise ValueError(f"expected an (L, M, M) stack of blocks, got {blocks.shape}")
+    L, M = blocks.shape[:2]
+    c = width // M
+    if width <= 0 or width % M or L % c:
+        raise ValueError(f"{L} blocks of {M}x{M} do not tile an image {width} wide")
+    r = L // c
+    return blocks.reshape(r, c, M, M).transpose(0, 2, 1, 3).reshape(r * M, c * M)
 
 
 @functools.lru_cache(maxsize=4)
@@ -75,7 +70,7 @@ def _stack_positions(M, rows, cols):
     its result ask for the same one several times, and read-only, since
     every caller gets the same array."""
     stack = np.arange(rows * cols * M * M).reshape(rows * cols, M, M)
-    positions = from_blocks(BlockGrid(M, rows, cols, stack))
+    positions = from_blocks(stack, cols * M)
     positions.setflags(write=False)
     return positions
 

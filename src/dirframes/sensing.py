@@ -38,7 +38,8 @@ butterfly.  The adjoint runs one butterfly, multiplies by a first factor
 second factor (the signs, or sqrt(2)) and ends with one gather through the
 inverse index, ``_scatter``, which moves the same values as the scatter
 ``out[_gather] = v`` at about half its cost.  A mode is the dtype its
-butterflies run in, its factors and its kernels' names, set once.
+butterflies run in, its factors and its two kernels, bound once when the
+operator is built.
 
 An operator can read its input in any fixed order: ``in_order(q)`` returns
 the operator whose ``forward(u)`` is ``forward(u[q])`` and whose adjoint
@@ -173,13 +174,13 @@ class MeasurementOperator:
             perm = _stream(seed, _STREAM_PERM).permutation(self.n)
             signs = np.where(_stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)[perm]
             self._scale = 1.0 / np.sqrt(self.n)
-            self._dtype, self._kernels = np.float64, ("fwht", "fwht")
+            self._dtype, self._kernels = np.float64, (fwht, fwht)
             self._factors = (signs, self._scale, signs)
         else:
             # x[j] and x[j + n/2] side by side: read as complex, x0 + i x1
             perm = np.arange(self.n).reshape(2, -1).T.ravel()
             self._scale = _SQRT2
-            self._dtype, self._kernels = np.complex128, ("noiselet", "noiselet_adjoint")
+            self._dtype, self._kernels = np.complex128, (noiselet, noiselet_adjoint)
             self._factors = (_A, _B, _SQRT2)
         self._set_gather(perm)
 
@@ -227,9 +228,7 @@ class MeasurementOperator:
         # is in range, so nothing is clipped
         np.take(x, self._gather, out=self._work[0], mode="clip")
         w[0] *= self._factors[0]
-        # the kernel is looked up by name at call time, where a tracer may
-        # have wrapped it
-        return globals()[self._kernels[0]](w[0], w[1]).view(np.float64)
+        return self._kernels[0](w[0], w[1]).view(np.float64)
 
     def _inverse(self):
         """Transpose of the full transform of the workspace's first row, in
@@ -238,7 +237,7 @@ class MeasurementOperator:
         of a permutation moves the same values as the scatter
         ``out[_gather] = v``, so the bytes are the same."""
         w = self._work.view(self._dtype)
-        v = globals()[self._kernels[1]](w[0], w[1])
+        v = self._kernels[1](w[0], w[1])
         v *= self._factors[1]
         v = v.view(np.float64)
         v *= self._factors[2]

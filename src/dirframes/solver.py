@@ -87,7 +87,7 @@ from operator import iadd
 
 import numpy as np
 
-from .imagegrid import BlockGrid, _stack_positions, from_blocks, psnr, to_blocks
+from .imagegrid import _stack_positions, from_blocks, psnr, to_blocks
 from .sensing import Observation  # noqa: F401  (type of ProblemSpec.observation)
 
 __all__ = [
@@ -103,7 +103,7 @@ __all__ = [
     "ConvergenceReport",
     "DivergenceError",
     "solve",
-    "check_truth_shape",
+    "check_image_shape",
     "objective_terms",
     "FIDELITY_L2BALL",
     "FIDELITY_EQUALITY",
@@ -399,7 +399,7 @@ def _divergence_guard(residuals):
         )
 
 
-def _image_of_shape(image, shape, what):
+def check_image_shape(image, shape, what):
     """The image as float64, or ``ValueError`` naming it (``what``) and both
     shapes when it does not have the observation's ``shape``."""
     image = np.asarray(image, dtype=np.float64)
@@ -408,12 +408,6 @@ def _image_of_shape(image, shape, what):
             f"{what} shape {image.shape} does not match the observation's {tuple(shape)}"
         )
     return image
-
-
-def check_truth_shape(truth, shape):
-    """The reference image as float64, or ``ValueError`` naming both shapes
-    when it does not have the observation's ``shape``."""
-    return _image_of_shape(truth, shape, "truth image")
 
 
 def _frame_step(frame, coeffs, z1, xb, gamma):
@@ -537,12 +531,11 @@ def solve(problem, config=None, truth=None):
     obs = problem.observation
     M = problem.frame.block_size
     H, W = obs.height, obs.width
-    r, c = H // M, W // M
-    L = r * c
+    L = (H // M) * (W // M)
     if truth is not None:
-        truth = check_truth_shape(truth, (H, W))
+        truth = check_image_shape(truth, (H, W), "truth image")
         # psnr is a mean over pixels, so it reads the truth in block order too
-        truth = to_blocks(truth, M).blocks.reshape(L, M * M)
+        truth = to_blocks(truth, M).reshape(L, M * M)
 
     # certified bound on ||L||^2; see the module docstring
     op_norm_sq = sum(term.bound for term in terms)
@@ -598,7 +591,7 @@ def solve(problem, config=None, truth=None):
         psnr_history=np.array(psnr_history) if psnr_history is not None else None,
         final_psnr=psnr_history[-1] if psnr_history else None,
     )
-    return from_blocks(BlockGrid(M, r, c, x)), report
+    return from_blocks(x, W), report
 
 
 def objective_terms(problem, x):
@@ -613,9 +606,9 @@ def objective_terms(problem, x):
     ``ValueError``.
     """
     obs = problem.observation
-    x = _image_of_shape(x, (obs.height, obs.width), "scored image")
+    x = check_image_shape(x, (obs.height, obs.width), "scored image")
     terms = _terms(problem)
-    blocks = to_blocks(x, problem.frame.block_size).blocks
+    blocks = to_blocks(x, problem.frame.block_size)
     values = {term.name: term.value(blocks) for term in terms}
     l1, l12 = values["l1"], values.get("l12", 0.0)
     return {"l1": l1, "l12": l12, "objective": l1 + float(problem.rho) * l12,

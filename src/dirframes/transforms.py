@@ -6,18 +6,20 @@ Builds the orthonormal cosine/sine transform family used by the block frames:
 * ``build_dst`` -- its sine companion with the alternating row placed first,
   so that row k carries discrete frequency k for k >= 1.
 * ``build_modified_dst`` -- the sine matrix with the alternating row replaced
-  by a constant row; rank M-1 by construction.
+  by a constant row; rank M-1 by construction, so a plain array.
 * ``build_rdst`` -- the regularity-constrained sine transform: odd rows are
   redesigned one at a time as null vectors of the remaining rows (SVD), which
   restores orthogonality while keeping the constant row, so the transform
   annihilates constant blocks everywhere except its first coefficient.
-* ``build_dft`` / ``build_dht`` -- unitary Fourier (stored as a real/imag
-  matrix pair) and Hartley (cas) transforms.
+* ``build_dft`` / ``build_dht`` -- unitary Fourier (complex entries) and
+  Hartley (cas) transforms.
 * ``extract_gamma`` / ``factor_givens`` -- the orthogonal mixing matrix that
   maps the plain sine transform onto the redesigned one, and its plane
   rotation factorization.
 
-All matrices are returned as immutable :class:`TransformMatrix` values.
+Every transform is returned as an immutable :class:`TransformMatrix`: one
+read-only matrix, float64 for the real kinds and complex128 for the DFT,
+whose rows are checked to be orthonormal, max |F F^H - I| <= 1e-10.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 __all__ = [
     "DCT",
     "DST",
-    "MODIFIED_DST",
     "RDST",
     "DFT",
     "DHT",
@@ -53,13 +54,9 @@ __all__ = [
 
 DCT = "dct"
 DST = "dst"
-MODIFIED_DST = "modified-dst"
 RDST = "rdst"
 DFT = "dft"
 DHT = "dht"
-
-#: kinds whose rows are orthonormal (checked at construction)
-_ORTHOGONAL_KINDS = frozenset({DCT, DST, RDST, DHT})
 
 _GRAM_TOL = 1e-10
 # relative singular-value threshold for the null vector in the redesign loop
@@ -73,36 +70,30 @@ def _require_pow2(M, minimum=2):
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """An M x M transform; ``entries_imag`` is set only for the DFT pair."""
+    """An M x M transform with orthonormal rows, else ``ValueError``.
+
+    ``entries`` is read-only: complex128 when given complex values (the
+    DFT), float64 otherwise."""
 
     size: int
     kind: str
     entries: np.ndarray
-    entries_imag: np.ndarray | None = None
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=np.float64)
+        dtype = np.complex128 if np.iscomplexobj(self.entries) else np.float64
+        ent = np.asarray(self.entries, dtype=dtype)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
-        if self.entries_imag is not None:
-            imag = np.asarray(self.entries_imag, dtype=np.float64)
-            imag.setflags(write=False)
-            object.__setattr__(self, "entries_imag", imag)
         if ent.shape != (self.size, self.size):
             raise ValueError("entries shape does not match declared size")
         res = self.gram_residual()
-        if self.kind in _ORTHOGONAL_KINDS and res > _GRAM_TOL:
+        if res > _GRAM_TOL:
             raise ValueError(f"{self.kind} rows not orthonormal (residual {res:.3g})")
-        if self.kind == DFT and res > _GRAM_TOL:
-            raise ValueError(f"dft not unitary (residual {res:.3g})")
 
     def gram_residual(self):
-        """max |F F^T - I| (F^H F - I for the complex pair)."""
-        if self.entries_imag is None:
-            g = self.entries @ self.entries.T
-        else:
-            u = self.entries + 1j * self.entries_imag
-            g = u.conj().T @ u
+        """max |F F^H - I| over the rows; for a real F, ``conj`` returns F
+        itself, so this is the product F F^T."""
+        g = self.entries @ self.entries.conj().T
         return float(np.max(np.abs(g - np.eye(self.size))))
 
 
@@ -135,11 +126,12 @@ def build_modified_dst(M):
 
     The constant row is linearly dependent on the odd-indexed sine rows, so
     the matrix has rank M-1; it is the starting point of the redesign loop.
+    Not a transform, so a fresh float64 array.
     """
     _require_pow2(M, minimum=4)
     ent = np.array(build_dst(M).entries)
     ent[0] = np.sqrt(1.0 / M)
-    return TransformMatrix(M, MODIFIED_DST, ent)
+    return ent
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ def rdst_design_steps(M):
     installed as the new row 2k+1.
     """
     _require_pow2(M, minimum=4)
-    S = np.array(build_modified_dst(M).entries)
+    S = build_modified_dst(M)
     steps = []
     for k in range(M // 2):
         row = 2 * k + 1
@@ -219,14 +211,18 @@ def redesign_conditioning(M):
 
 
 def build_dft(M):
-    """Unitary DFT, entry (k, n) = exp(-2j pi k n / M) / sqrt(M), as a real pair."""
+    """Unitary DFT, entry (k, n) = exp(-2j pi k n / M) / sqrt(M).
+
+    The parts are set one by one: ``re + 1j * im`` would turn the -0.0
+    imaginary entries into +0.0."""
     _require_pow2(M)
     k = np.arange(M)[:, None]
     n = np.arange(M)[None, :]
     phase = 2.0 * np.pi * k * n / M
-    re = np.cos(phase) / np.sqrt(M)
-    im = -np.sin(phase) / np.sqrt(M)
-    return TransformMatrix(M, DFT, re, im)
+    ent = np.empty((M, M), dtype=np.complex128)
+    ent.real = np.cos(phase) / np.sqrt(M)
+    ent.imag = -np.sin(phase) / np.sqrt(M)
+    return TransformMatrix(M, DFT, ent)
 
 
 def build_dht(M):

@@ -388,7 +388,18 @@ def test_recover_bad_config_key_exits_2(small_case, capsys):
         cfg.write_text(text)
         assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
                     "--config", str(cfg), "--out", str(tmp / "x.pgm")) == 2, text
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {cfg}: " in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize("content", [b"{bad", b'{"gamma1": "\xff"}'],
+                         ids=["malformed", "not-utf8"])
+def test_recover_unparseable_config_names_its_file(small_case, content, capsys):
+    _, obs_path, tmp = small_case
+    cfg = tmp / "unparseable.json"
+    cfg.write_bytes(content)
+    assert _run("recover", "--obs", obs_path, "--family", "rdadcf", "--size", "8",
+                "--config", str(cfg), "--out", str(tmp / "x.pgm")) == 2
+    assert f"error: {cfg}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", [{"max_iters": -5}, {"stop_tol": -1}])

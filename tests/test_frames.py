@@ -251,8 +251,7 @@ def _expected_atom(family, M, s):
         a = _expected_atom("dadcf", M, s)
         return a - a.mean()
     if family == "dft":
-        tm = tf.build_dft(M)
-        U = tm.entries + 1j * tm.entries_imag
+        U = tf.build_dft(M).entries
         z = np.outer(U[s.k_v], U[s.k_h])
         return z.real if s.branch == "cos" else z.imag
     if family in ("dct", "dht"):

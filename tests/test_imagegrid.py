@@ -20,22 +20,34 @@ def _rand_image(h, w, key=0):
 @pytest.mark.parametrize("h, w, M", [(16, 16, 4), (24, 40, 8), (8, 8, 8)])
 def test_block_round_trip(h, w, M):
     img = _rand_image(h, w)
-    grid = ig.to_blocks(img, M)
-    assert grid.blocks.shape == (h // M * (w // M), M, M)
-    np.testing.assert_array_equal(ig.from_blocks(grid), img)
+    blocks = ig.to_blocks(img, M)
+    assert blocks.shape == (h // M * (w // M), M, M)
+    np.testing.assert_array_equal(ig.from_blocks(blocks, w), img)
 
 
 def test_to_blocks_raster_order():
     img = np.arange(16.0).reshape(4, 4)
-    grid = ig.to_blocks(img, 2)
-    np.testing.assert_array_equal(grid.blocks[0], [[0, 1], [4, 5]])
-    np.testing.assert_array_equal(grid.blocks[1], [[2, 3], [6, 7]])
-    np.testing.assert_array_equal(grid.blocks[2], [[8, 9], [12, 13]])
+    blocks = ig.to_blocks(img, 2)
+    np.testing.assert_array_equal(blocks[0], [[0, 1], [4, 5]])
+    np.testing.assert_array_equal(blocks[1], [[2, 3], [6, 7]])
+    np.testing.assert_array_equal(blocks[2], [[8, 9], [12, 13]])
 
 
 def test_to_blocks_rejects_misaligned():
     with pytest.raises(ValueError):
         ig.to_blocks(_rand_image(10, 8), 4)
+
+
+@pytest.mark.parametrize("shape, width", [
+    ((6, 4, 4), 16),     # 6 blocks do not fill rows of 4
+    ((4, 4, 4), 10),     # the width is not a multiple of the block size
+    ((4, 4, 4), 0),
+    ((4, 4, 2), 8),      # blocks that are not square
+    ((16, 16), 16),      # an image, not a stack
+], ids=["ragged-rows", "width-not-multiple", "zero-width", "not-square", "image"])
+def test_from_blocks_rejects_a_stack_that_does_not_tile(shape, width):
+    with pytest.raises(ValueError):
+        ig.from_blocks(np.zeros(shape), width)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +100,8 @@ def test_block_mosaic_tiles_are_constant(seed):
     img = ig.block_mosaic(128, seed=seed)
     assert img.shape == (128, 128)
     assert 0.0 < img.min() and img.max() < 1.0
-    grid = ig.to_blocks(img, 8)
-    spread = grid.blocks.max(axis=(1, 2)) - grid.blocks.min(axis=(1, 2))
+    blocks = ig.to_blocks(img, 8)
+    spread = blocks.max(axis=(1, 2)) - blocks.min(axis=(1, 2))
     np.testing.assert_allclose(spread, 0.0, atol=1e-15)
     # second moment sits where the raw least-norm baseline lands in its window
     assert 0.06 <= float(np.mean(img**2)) <= 0.13

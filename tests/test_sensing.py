@@ -117,9 +117,9 @@ _POWERS = {"fwht": backend._HADAMARD, "noiselet": backend._NOISELET,
 @pytest.mark.parametrize("name, dtype", KERNELS, ids=[k for k, _ in KERNELS])
 @pytest.mark.parametrize("n", [2**k for k in range(1, 19)])
 def test_kernel_bytes_match_rotating_write(name, dtype, n):
-    # same groups in the same order, each entry the same BLAS dot: the bytes
-    # of the rotating-write butterfly, with and without a scratch, on an
-    # input centred at 0 and one offset from it
+    # same groups in the same order: the bytes of the rotating-write
+    # butterfly, with and without a scratch, on an input centred at 0 and
+    # one offset from it; fwht writes in the fixed order and must match too
     rng = np.random.Generator(np.random.Philox(key=[n, 0xADF]))
     x = rng.standard_normal(n)
     if dtype is np.complex128:

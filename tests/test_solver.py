@@ -182,7 +182,7 @@ def test_ring_diff_matches_masked_oracle(shape, M):
     rng = _rng(30 + M)
     x = rng.standard_normal(shape)
     want_apply = oracle.apply(x)[:, ring][:, columns]
-    u = ig.to_blocks(x, M).blocks
+    u = ig.to_blocks(x, M)
     assert d.apply(u).tobytes() == want_apply.tobytes()
     # random values, and random signed zeros: the sums start from +0 as the
     # oracle's do, so no pixel comes out as -0 where the oracle has +0
@@ -193,7 +193,7 @@ def test_ring_diff_matches_masked_oracle(shape, M):
         on_ring = np.empty_like(z)
         on_ring[:, columns] = z
         full[:, ring] = on_ring
-        want_adjoint = ig.to_blocks(oracle.adjoint(full), M).blocks
+        want_adjoint = ig.to_blocks(oracle.adjoint(full), M)
         assert d.adjoint(z).tobytes() == want_adjoint.tobytes()
 
 
@@ -209,7 +209,7 @@ def test_diff_reads_only_the_block_stack():
 def test_diff_adjoint_identity():
     d = sv.DiffOperator((24, 16), 8)
     rng = _rng(5)
-    x = ig.to_blocks(rng.standard_normal((24, 16)), 8).blocks
+    x = ig.to_blocks(rng.standard_normal((24, 16)), 8)
     z = rng.standard_normal(d.apply(x).shape)
     lhs = float(np.sum(d.apply(x) * z))
     rhs = float(np.sum(x * d.adjoint(z)))
@@ -218,7 +218,7 @@ def test_diff_adjoint_identity():
 
 def test_diff_constant_image_maps_to_zero():
     d = sv.DiffOperator((16, 16), 8)
-    u = ig.to_blocks(np.full((16, 16), 0.3), 8).blocks
+    u = ig.to_blocks(np.full((16, 16), 0.3), 8)
     np.testing.assert_allclose(d.apply(u), 0.0, atol=1e-15)
 
 
@@ -228,17 +228,17 @@ def test_diff_sees_only_block_seams():
     d = sv.DiffOperator((16, 16), 8)
     inside = np.zeros((16, 16))
     inside[3:5, 2:6] = 1.0          # fully interior to the top-left block
-    np.testing.assert_allclose(d.apply(ig.to_blocks(inside, 8).blocks), 0.0, atol=1e-15)
+    np.testing.assert_allclose(d.apply(ig.to_blocks(inside, 8)), 0.0, atol=1e-15)
     tiles = np.zeros((16, 16))
     tiles[:8, :] = 1.0              # seam between block rows
-    out = d.apply(ig.to_blocks(tiles, 8).blocks)
+    out = d.apply(ig.to_blocks(tiles, 8))
     assert np.abs(out).sum() > 0
 
 
 def test_diff_detects_mosaic_seams():
     img = ig.block_mosaic(32, seed=1)
     d = sv.DiffOperator((32, 32), 8)
-    assert np.abs(d.apply(ig.to_blocks(img, 8).blocks)).sum() > 0.01
+    assert np.abs(d.apply(ig.to_blocks(img, 8))).sum() > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +267,23 @@ def _stacked_operator(problem):
     frame = problem.frame
     M = frame.block_size
     H, W = obs.height, obs.width
-    r, c = H // M, W // M
     meas = obs.operator()
     diff = sv.DiffOperator((H, W), M) if problem.rho > 0 else None
 
     def apply(x):
         parts = [
-            frame.analyze_blocks(ig.to_blocks(x, M).blocks),
+            frame.analyze_blocks(ig.to_blocks(x, M)),
             meas.forward(x.reshape(-1, order="F")),
         ]
         if diff is not None:
-            parts.append(diff.apply(ig.to_blocks(x, M).blocks))
+            parts.append(diff.apply(ig.to_blocks(x, M)))
         return parts
 
     def adjoint(parts):
-        out = ig.from_blocks(ig.BlockGrid(M, r, c, frame.adjoint_blocks(parts[0])))
+        out = ig.from_blocks(frame.adjoint_blocks(parts[0]), W)
         out = out + meas.adjoint(parts[1]).reshape(H, W, order="F")
         if diff is not None:
-            out = out + ig.from_blocks(ig.BlockGrid(M, r, c, diff.adjoint(parts[2])))
+            out = out + ig.from_blocks(diff.adjoint(parts[2]), W)
         return out
 
     return apply, adjoint, (H, W)
@@ -528,7 +527,7 @@ def test_objective_terms():
     op = fr.build_frame("rdadcf", 8)
     prob = sv.ProblemSpec(frame=op, observation=obs, rho=1.0)
     terms = sv.objective_terms(prob, img)
-    co = op.analyze_blocks(ig.to_blocks(img, 8).blocks)
+    co = op.analyze_blocks(ig.to_blocks(img, 8))
     np.testing.assert_allclose(terms["l1"], float(np.abs(co).sum()), rtol=1e-12)
     assert terms["box_violation"] == 0.0
     # noiseless full sampling: the truth is feasible
@@ -639,10 +638,10 @@ def _image_order_solve(problem, iters):
     diff = _MaskedDiff((H, W), M) if rho > 0 else None
 
     def A1(x):
-        return frame.analyze_blocks(ig.to_blocks(x, M).blocks).ravel()
+        return frame.analyze_blocks(ig.to_blocks(x, M)).ravel()
 
     def A1t(z):
-        return ig.from_blocks(ig.BlockGrid(M, r, c, frame.adjoint_blocks(z.reshape(r * c, -1))))
+        return ig.from_blocks(frame.adjoint_blocks(z.reshape(r * c, -1)), W)
 
     def A3(x):
         return meas.forward(x.reshape(-1, order="F"))
@@ -695,7 +694,7 @@ def test_block_order_senses_the_image():
     H, W, M = 16, 32, 4
     img = np.arange(H * W, dtype=float).reshape(H, W)
     positions = ig._stack_positions(M, H // M, W // M)
-    u = ig.to_blocks(img, M).blocks.reshape(-1)
+    u = ig.to_blocks(img, M).reshape(-1)
     np.testing.assert_array_equal(u[positions], img)
     np.testing.assert_array_equal(u[positions.ravel(order="F")], img.reshape(-1, order="F"))
 

@@ -89,7 +89,7 @@ def test_sine_row_dc_closed_form(M):
 
 @pytest.mark.parametrize("M", SIZES)
 def test_modified_dst_constant_row_and_rank(M):
-    S = tf.build_modified_dst(M).entries
+    S = tf.build_modified_dst(M)
     np.testing.assert_allclose(S[0], np.full(M, np.sqrt(1.0 / M)), atol=1e-14)
     sv = np.linalg.svd(S, compute_uv=False)
     assert sv[M - 2] > 1e-8 * sv[0]      # rank M-1 ...
@@ -97,7 +97,7 @@ def test_modified_dst_constant_row_and_rank(M):
 
 
 def test_modified_dst_gram_fixture_m4():
-    S = tf.build_modified_dst(4).entries
+    S = tf.build_modified_dst(4)
     G = S @ S.T
     np.testing.assert_allclose(abs(G[0, 1]), 0.9238795325112868, atol=5e-4)
     np.testing.assert_allclose(abs(G[0, 3]), 0.3826834323650896, atol=5e-4)
@@ -107,7 +107,7 @@ def test_modified_dst_gram_fixture_m4():
 @pytest.mark.parametrize("M", SIZES)
 def test_constant_row_lives_in_odd_sine_span(M):
     # the flat row's projections onto the odd sine rows carry all its energy
-    S = tf.build_modified_dst(M).entries
+    S = tf.build_modified_dst(M)
     dst = tf.build_dst(M)
     total = sum(float(S[0] @ dst.entries[2 * l + 1]) ** 2 for l in range(M // 2))
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
@@ -222,8 +222,10 @@ def test_factor_givens_random_rotation(M):
 
 def test_dft_unitary_and_dht_orthonormal():
     f = tf.build_dft(8)
-    assert f.entries_imag is not None
+    assert f.entries.dtype == np.complex128
     assert f.gram_residual() < 1e-12
+    # -sin(0) is -0.0, and ``design`` writes the imaginary part's sign bits
+    assert np.all(np.signbit(f.entries.imag[0])) and np.all(np.signbit(f.entries.imag[:, 0]))
     h = tf.build_dht(8)
     assert h.gram_residual() < 1e-12
     # cas rows: (cos + sin)(2 pi k n / M) / sqrt(M)
@@ -232,6 +234,20 @@ def test_dft_unitary_and_dht_orthonormal():
     np.testing.assert_allclose(
         h.entries[k], (np.cos(ang) + np.sin(ang)) / np.sqrt(8), atol=1e-13
     )
+
+
+_T = 0.5
+
+
+@pytest.mark.parametrize("kind, entries", [
+    # every kind is checked, not only those of the builders
+    ("custom", np.array([[1.0, 1e-6], [0.0, 1.0]])),
+    # F F^T = I, but F F^H = I only for a unitary F
+    ("dft", np.array([[np.cosh(_T), 1j * np.sinh(_T)], [-1j * np.sinh(_T), np.cosh(_T)]])),
+], ids=["real", "complex"])
+def test_transform_matrix_rejects_rows_that_are_not_orthonormal(kind, entries):
+    with pytest.raises(ValueError, match=f"{kind} rows not orthonormal"):
+        tf.TransformMatrix(2, kind, entries)
 
 
 def test_matrix_csv_round_trip(tmp_path):
