@@ -58,13 +58,18 @@ MUTANTS = [
      "        w = self._weights\n",
      "        w = np.empty_like(self._weights)\n",
      _HEAP),
+    ("frame-step-copy", "src/dirframes/solver.py",
+     "        frame.adjoint_blocks(dual_l1(z1[chunk], a, gamma), out=blocks)\n",
+     "        blocks[...] = frame.adjoint_blocks(dual_l1(z1[chunk], a, gamma))\n",
+     _HEAP),
     ("butterfly-groups-swapped", "src/dirframes/_kernels_py.py",
      "    for low in range(0, bits, RADIX_BITS):\n",
      "    lows = list(range(0, bits, RADIX_BITS))\n"
      "    lows[:2] = lows[1::-1]\n"
      "    for low in lows:\n",
-     [f"{_KERNEL}[{2**k}-fwht]" for k in range(5, 19)]
-     + [f"{_KERNEL}[{n}-{name}]" for n in (32, 64, 128)
+     # complex n = 32 is checked to a tolerance, which a group swap keeps
+     [f"{_KERNEL}[{2**k}-fwht]" for k in range(5, 21)]
+     + [f"{_KERNEL}[{n}-{name}]" for n in (64, 128)
         for name in ("noiselet", "noiselet_adjoint")]),
     ("atom-row-major", "src/dirframes/frames.py",
      'op.analysis[index].reshape(M, M, order="F")',

@@ -2,19 +2,19 @@
 
 All three are Kronecker powers of a 2x2 stage, applied by the one numpy
 kernel in ``_kernels_py``: radix-16 groups of stages from the low index bits
-up, the short leftover group on top, each group as matrix products.  The
-float64 ``fwht`` keeps the index order fixed, each group one batched
-``np.matmul`` along its own bits, and no BLAS call writes more than
+up, the short leftover group on top, each group as matrix products.  Both
+dtypes keep the index order fixed, each group one batched ``np.matmul``
+along its own bits, and no BLAS call writes more than
 ``_kernels_py._CALL_FLOATS`` = 2^15 entries, which keeps dgemm on
-OpenBLAS's small-matrix kernels; the complex noiselets write each group's
-product transposed, rotating its bits to the top, because zgemm has no
-small-matrix win there.  The choice is by dtype alone.  For float64 the
-fixed order gives the bytes of the rotating write at every n tested; for
-complex128 it does not (at n = 32 it moves 29 of 32 noiselet entries by up
-to 1.9e-15), so the noiselets' bytes depend on their layout.  The per-pass
-timings are in ``_kernels_py``.  ``backend_name`` and ``HAVE_COMPILED``
-stay for callers that record which kernel made a result; there is only
-this one, so they always read ``"python"`` and ``False``.
+OpenBLAS's small-matrix kernels.  At every n tested the bytes are those of
+the older layout, which wrote each product transposed, for both dtypes,
+except the noiselets at n = 32 (28-29 of 32 entries move, by up to
+1.9e-15).  The timings are in ``_kernels_py``.  ``fwht`` is a real
+transform: it rejects complex input, whose imaginary part a float64 cast
+would drop, while the noiselets take real or complex input.
+``backend_name`` and ``HAVE_COMPILED`` stay for callers that record which
+kernel made a result; there is only this one, so they always read
+``"python"`` and ``False``.
 
 Each transform takes an optional ``scratch`` vector of the input's length
 and dtype.  With one, the scratch and the input are both overwritten (or
@@ -45,6 +45,8 @@ def backend_name():
 
 def _apply(x, dtype, powers, scratch):
     """``butterfly`` on x cast to ``dtype``, in ``scratch`` or in a fresh pair."""
+    if dtype is np.float64 and np.iscomplexobj(x):
+        raise ValueError("the Walsh-Hadamard transform takes real input, got complex values")
     x = np.array(x, dtype=dtype) if scratch is None else np.ascontiguousarray(x, dtype=dtype)
     n = x.shape[0] if x.ndim == 1 else 0
     if n == 0 or n & (n - 1):

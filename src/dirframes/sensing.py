@@ -215,6 +215,8 @@ class MeasurementOperator:
         self._work = np.empty((2, self.n))
 
     def _check(self, v, length):
+        if np.iscomplexobj(v):
+            raise ValueError(f"expected a real length-{length} vector, got complex values")
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (length,):
             raise ValueError(f"expected length-{length} vector, got {v.shape}")
