@@ -48,6 +48,12 @@ _ATOMS = [f"tests/test_frames.py::test_atom_norms[{case}]"
 
 _ORTHONORMAL = "tests/test_transforms.py::test_transform_matrix_rejects_rows_that_are_not_orthonormal"
 
+_SEEDED = "tests/test_sensing.py::test_operator_matches_seeded_definition"
+_NOISELET_ADJOINT = "tests/test_sensing.py::test_noiselet_adjoint_matches_definition"
+# the odd powers of two, whose butterfly ends in the 45-degree turn
+_ODD_NOISELET = ([f"{_SEEDED}[complex-noiselet-{n}]" for n in (512, 2048)]
+                 + [f"{_NOISELET_ADJOINT}_at_odd_log2[{n}]" for n in (512, 2048)])
+
 # (name, file, exact old text, new text, ids that must fail)
 MUTANTS = [
     ("primal-copy", "src/dirframes/solver.py",
@@ -83,6 +89,14 @@ MUTANTS = [
      "self.entries @ self.entries.conj().T",
      "self.entries @ self.entries.T",
      [f"{_ORTHONORMAL}[complex]"]),
+    ("noiselet-turn-sign-flipped", "src/dirframes/sensing.py",
+     "        row_signs[rows >= h] *= -1.0\n",
+     "        row_signs[rows >= h] *= 1.0\n",
+     _ODD_NOISELET),
+    ("noiselet-row-signs-dropped", "src/dirframes/sensing.py",
+     "    rows, row_signs = _turn(j, t, q, h)\n",
+     "    rows, row_signs = _turn(j, t, q, h)[0], np.ones(len(j))\n",
+     _ODD_NOISELET + [f"{_SEEDED}[complex-noiselet]", _NOISELET_ADJOINT]),
 ]
 
 

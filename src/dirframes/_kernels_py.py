@@ -35,8 +35,15 @@ pairs of the noiselet-cli benchmark (seed 27) split 6-6, with median
 order, a gap below the rotating write's own interquartile range of 0.24
 ms, so one layout serves both dtypes.
 
-The passes run back and forth between the input and one scratch vector of
-the same length, each product written with ``np.matmul(..., out=)``, so a
+A stack of rows, a C-contiguous ``(r, 2^k)`` array, is transformed row by
+row in the same passes: each group's view runs over the whole stack, and a
+group's matrices never cross a row, so every row sees the BLAS calls that
+it would see alone, and its bytes.  Sensing uses ``fwht`` only, in both of
+its modes; the noiselet mode runs it on the (2, n/2) stack of real and
+imaginary parts.  The complex noiselets are no longer on any sensing path.
+
+The passes run back and forth between the input and one scratch array of
+the same shape, each product written with ``np.matmul(..., out=)``, so a
 transform creates no array: a run of calls on held buffers leaves the heap
 as it found it.  The product is the same BLAS call with or without ``out``,
 so the values do not depend on where they are written.
@@ -60,10 +67,13 @@ def kron_powers(stage):
 
 
 def _fixed_pass(h, src, dst, low):
-    # the group on bits [low, low + s) along its own axis, in fixed index order
+    # the group on bits [low, low + s) of each row, in fixed index order;
+    # every reshape runs over the whole C-contiguous stack, whose rows are
+    # whole 2^low-aligned runs of the index, so each row sees the calls
+    # that it would see alone
     r = h.shape[0]
     if low == 0:
-        rows = min(src.shape[0], _CALL_FLOATS) // r
+        rows = min(src.shape[-1], _CALL_FLOATS) // r
         np.matmul(src.reshape(-1, rows, r), h.T, out=dst.reshape(-1, rows, r))
     else:
         # (A, S / cols, r, cols) with S = 2^low: each matrix a column slice
@@ -74,14 +84,15 @@ def _fixed_pass(h, src, dst, low):
 
 
 def butterfly(x, powers, scratch):
-    """Apply the Kronecker power of a 2x2 stage to a power-of-two vector.
+    """Apply the Kronecker power of a 2x2 stage to each power-of-two row.
 
     ``powers`` is ``kron_powers(stage)``.  ``x`` and ``scratch`` are
-    C-contiguous float64 or complex128 vectors of one length and dtype that
-    do not overlap; both are overwritten, and the one that holds the result
-    is returned.
+    C-contiguous float64 or complex128 arrays of one shape and dtype that
+    do not overlap: a vector, or an ``(r, 2^k)`` stack whose rows are
+    transformed one by one.  Both are overwritten, and the one that holds
+    the result is returned.
     """
-    bits = x.shape[0].bit_length() - 1
+    bits = x.shape[-1].bit_length() - 1
     src, dst = x, scratch
     for low in range(0, bits, RADIX_BITS):
         _fixed_pass(powers[1 << min(RADIX_BITS, bits - low)], src, dst, low)

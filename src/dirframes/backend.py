@@ -12,6 +12,14 @@ except the noiselets at n = 32 (28-29 of 32 entries move, by up to
 1.9e-15).  The timings are in ``_kernels_py``.  ``fwht`` is a real
 transform: it rejects complex input, whose imaginary part a float64 cast
 would drop, while the noiselets take real or complex input.
+
+Every transform takes a vector or a C-contiguous ``(r, 2^k)`` stack, whose
+rows it transforms one by one, each row bit-equal to the vector call on it.
+No sensing pass runs the complex butterfly: the noiselet mode of
+``sensing.MeasurementOperator`` runs ``fwht`` between two signed gathers,
+on a (2, n/2) stack of real and imaginary parts when log2 n is even.  The
+noiselets stay as the definitions that mode is checked against, and for
+callers that want the complex transform.
 ``backend_name`` and ``HAVE_COMPILED`` stay for callers that record which
 kernel made a result; there is only this one, so they always read
 ``"python"`` and ``False``.
@@ -48,7 +56,7 @@ def _apply(x, dtype, powers, scratch):
     if dtype is np.float64 and np.iscomplexobj(x):
         raise ValueError("the Walsh-Hadamard transform takes real input, got complex values")
     x = np.array(x, dtype=dtype) if scratch is None else np.ascontiguousarray(x, dtype=dtype)
-    n = x.shape[0] if x.ndim == 1 else 0
+    n = x.shape[-1] if x.ndim in (1, 2) and x.size else 0
     if n == 0 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got shape {x.shape}")
     if scratch is None:
@@ -56,14 +64,15 @@ def _apply(x, dtype, powers, scratch):
     elif (scratch.shape != x.shape or scratch.dtype != dtype
           or not scratch.flags.c_contiguous or np.may_share_memory(x, scratch)):
         raise ValueError(
-            f"scratch must be a contiguous {np.dtype(dtype)} vector of shape {x.shape} "
+            f"scratch must be a contiguous {np.dtype(dtype)} array of shape {x.shape} "
             f"apart from the input, got {scratch.dtype} {scratch.shape}"
         )
     return butterfly(x, powers, scratch)
 
 
 def fwht(x, scratch=None):
-    """Unnormalized Walsh-Hadamard transform of a power-of-two vector."""
+    """Unnormalized Walsh-Hadamard transform of a power-of-two vector, or of
+    each row of an ``(r, 2^k)`` stack."""
     return _apply(x, np.float64, _HADAMARD, scratch)
 
 

@@ -86,6 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imagegrid import _as_real
 from .transforms import (
     DCT,
     DFT,
@@ -271,14 +272,14 @@ class FrameOperator:
             out[...] = self._adjoint(coeffs)
 
     def _as_stack(self, blocks):
-        blocks = np.asarray(blocks, dtype=np.float64)
+        blocks = _as_real(blocks, "blocks")
         M = self.block_size
         if blocks.ndim != 3 or blocks.shape[1:] != (M, M):
             raise ValueError(f"expected (L, {M}, {M}) stack, got {blocks.shape}")
         return blocks
 
     def _as_coeffs(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _as_real(coeffs, "coefficients")
         if coeffs.ndim != 2 or coeffs.shape[1] != self.n_out:
             raise ValueError(f"expected (L, {self.n_out}) coefficients, got {coeffs.shape}")
         return coeffs

@@ -29,6 +29,14 @@ PSNR_CAP_DB = 300.0
 _MOSAIC_TILE = 8  # side of the constant tiles of ``block_mosaic``
 
 
+def _as_real(v, what):
+    """``v`` as a float64 array; ``ValueError`` for complex values, whose
+    imaginary part a float64 cast would drop with only a warning."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.asarray(v, dtype=np.float64)
+
+
 def _check_image(img):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:

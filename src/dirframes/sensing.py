@@ -7,39 +7,59 @@ recursion) is available behind a flag; its conjugate-symmetric rows are
 re-assembled into an exactly orthonormal real transform by interleaving
 sqrt(2) * real / imaginary parts of the first half of the output, so both
 modes expose the same interface and invariants (orthonormal rows, exact
-pseudo-inverse by the adjoint).
+pseudo-inverse by the adjoint), and both run the real Walsh-Hadamard
+butterfly.
 
 Only half of the noiselet's output is ever used, and only half of its
-adjoint's input is nonzero, so that mode runs one half-length noiselet per
-pass.  The n-point noiselet is the Kronecker power of the unitary stage
-W = [[a, b], [b, a]] with a = (1 - i)/2, b = (1 + i)/2, hence
-N_n = W ⊗ N_h with h = n/2.  Split x into halves x0 = x[:h], x1 = x[h:]:
+adjoint's input is nonzero.  The n-point noiselet is the Kronecker power of
+the unitary stage W = [[a, b], [b, a]] with a = (1 - i)/2, b = (1 + i)/2,
+hence N_n = W ⊗ N_h with h = n/2.  Split x into halves x0 = x[:h],
+x1 = x[h:]: the kept first half is N_h (a x0 + b x1) = N_h (a c) with
+c = x0 + i x1, since b = i a.
 
-    N_n x = [N_h (a x0 + b x1);  N_h (b x0 + a x1)],
+No pass runs the complex butterfly.  W = a D1 H2 D1 with D1 = diag(1, i)
+and H2 the 2-point Hadamard stage, so its Kronecker power is
 
-so the kept first half is N_h (a x0 + b x1).  Since b = i a, that is
-N_h (a c) with c = x0 + i x1, and c takes no arithmetic: the gather reads
-x[j] and x[j + h] side by side, so the gathered row read as complex is c.
-The adjoint is N_n^H = W^H ⊗ N_h^H with W^H = [[b, a], [a, b]]
-(conj(a) = b), so on an input whose second half is zero,
-N_n^H [w; 0] = [b u; a u] with u = N_h^H w, whose real part is
-(Re(b u), Re(a u)) = (Re(b u), Im(b u)): b u read as real pairs holds the
-(x0, x1) entries side by side, where the pair gather read them.  The
-results equal the full-length computation up to rounding: a few ulp, at
-most 1.8e-15 on a unit-variance input at n = 2^16.
+    N_h = a^k D H_h D,   D = diag(i^popcount(j)),   k = log2 h,
 
-So both modes run one path.  A pass starts with one gather, ``_gather``:
-the scrambling permutation in Hadamard mode (with the sign flip carried in
-gathered order, as (x * s)[p] = x[p] * s[p]), the pair order
-``arange(n).reshape(2, -1).T.ravel()`` in noiselet mode.  ``forward`` then
-multiplies by a pre-factor (the gathered signs, or a) and runs one
-butterfly.  The adjoint runs one butterfly, multiplies by a first factor
-(the scale 1/sqrt(n), or b), reads the result as float64, multiplies by a
-second factor (the signs, or sqrt(2)) and ends with one gather through the
+and the kept half is a^r D H_h D c with r = log2 n.  A power of i only
+swaps and signs the (Re, Im) pair of an entry, so D c is a signed gather of
+x: the workspace holds the real parts in [0, h) and the imaginary parts in
+[h, n), ``_gather`` reads each from x0 or x1 and ``_signs`` holds their
+signs.  H_h is then ``fwht`` over the low k bits, which transforms the real
+and the imaginary parts apart.  The factor a^r = 2^(-r/2) e^(-i pi r/4) is
+a power of i when r is even.  When r is odd it also holds one 45-degree
+turn, e^(-i pi/4) (P + i Q) = (U - i V)/sqrt(2) with U = P + Q and
+V = P - Q, which is the Hadamard stage on the (Re, Im) pair: so the
+butterfly is ``fwht`` of the workspace as a (2, h) stack of rows when r is
+even and of the whole n-vector, the top stage included, when r is odd.
+The second D and the power of i are another signed gather, of the m kept
+rows only: ``_rows`` says where each kept real or imaginary part is read and
+``_row_signs`` its sign, with the turn's -V folded in.  What is left of
+sqrt(2) a^r is one scale, 1/sqrt(h) or 1/sqrt(n): one over the square root
+of the butterfly's row length.  The adjoint runs the same steps transposed:
+the signed kept rows, the butterfly (its own transpose), the scale and the
+input signs, and a gather back.  These results equal the complex
+definition, ``backend.noiselet`` of a c, up to rounding: at most 2.7e-15
+for n = 2 to 2^18 on a unit-variance input.  At n = 2^16, against the
+complex butterfly, ``forward`` went from 0.66-0.68 to 0.42 ms and
+``adjoint`` from 0.68-0.70 to 0.43-0.45 ms (min of 60 calls of a relabeled
+operator, three alternating runs a side, one BLAS thread, on a shared
+2-core x86-64 VM).
+
+The tables are built once per operator from ``np.bitwise_count`` and one
+8-entry sign table ``_SIGNS``: the sign of component t of i^p (u + i v),
+which is u or v as p + t is even or odd, is ``_SIGNS[4 t + p]``.
+
+So both modes run one path.  A pass gathers its input through ``_gather``
+(the scrambling permutation in Hadamard mode, with the sign flip carried in
+gathered order, as (x * s)[p] = x[p] * s[p]), multiplies by ``_signs``,
+runs one ``fwht`` and keeps ``_rows`` times ``_row_signs`` (all 1 in
+Hadamard mode, where ``_rows`` is ``sample_indices``) times the scale.  The
+adjoint places the signed measurements at ``_rows``, runs one ``fwht``,
+multiplies by the scale and the signs and ends with one gather through the
 inverse index, ``_scatter``, which moves the same values as the scatter
-``out[_gather] = v`` at about half its cost.  A mode is the dtype its
-butterflies run in, its factors and its two kernels, bound once when the
-operator is built.
+``out[_gather] = v`` at about half its cost.
 
 An operator can read its input in any fixed order: ``in_order(q)`` returns
 the operator whose ``forward(u)`` is ``forward(u[q])`` and whose adjoint
@@ -49,8 +69,7 @@ operator once, by the block-stack positions of the column-major image
 vector, so it senses its stack of blocks with no layout copy; it is the
 only operator the solver relabels.  The results are bit-identical to
 gathering first and then applying the operator, because each step is a
-permutation or the same multiply.  ``forward`` applies the scale
-(1/sqrt(n), or sqrt(2) for noiselets) to the m kept rows only.
+permutation or the same multiply.
 
 Each operator holds one (2, n) float64 workspace, and every pass runs in
 it: the gather writes into one row, the butterfly goes back and forth
@@ -67,8 +86,8 @@ and sign streams do not depend on the rate, so a rate-1 operator with the
 same seed and mode is the full transform behind any rate's rows.
 
 Signal lengths are capped at ``MAX_SIGNAL_LENGTH`` = 2^26 (an 8192 x 8192
-image), where the two held indices take 1 GiB and the workspace another
-GiB: a header may not ask for more.
+image), where the two held indices take 1 GiB, the signs 512 MiB and the
+workspace another GiB: a header may not ask for more.
 
 Randomness is counter-based (Philox) with one stream per purpose, keyed as
 the uint64 pair (seed, stream-id): permutation 1, sign flips 2, sampling
@@ -85,8 +104,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _A and _B are a and b of the noiselet stage W = [[a, b], [b, a]]
-from .backend import _A, _B, fwht, noiselet, noiselet_adjoint
+# the noiselets are the definitions that noiselet mode computes without them;
+# they stay module attributes, which perfbench/tracing.py wraps
+from .backend import fwht, noiselet, noiselet_adjoint  # noqa: F401
 
 __all__ = [
     "MAX_SIGNAL_LENGTH",
@@ -114,7 +134,9 @@ _STREAM_SIGN = 2
 _STREAM_MASK = 3
 _STREAM_NOISE = 4
 
-_SQRT2 = np.sqrt(2.0)
+# _SIGNS[4 t + p] is the sign of component t (0 real, 1 imaginary) of
+# i^p (u + iv), whose component t is u or v as p + t is even or odd
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 
 _MAGIC = b"DFOBS001"
 _HEADER = struct.Struct("<8sIIQdQQdB7xQ")
@@ -137,12 +159,44 @@ def _measurement_count(n, rate):
     return int(np.floor(rate * n + 0.5))
 
 
+def _turn(j, t, p, h):
+    """Where component t of i^p (u_j + i v_j) is read, with u held at [0, h)
+    and v at [h, 2h) of one vector, and its sign.  t and p (in 0..3) are
+    uint8, so that no n-length temporary is wider than a byte."""
+    rows = np.multiply((p + t) & 1, h, dtype=np.intp)
+    rows += j
+    return rows, _SIGNS.take(p + 4 * t)
+
+
+def _noiselet_tables(n, sample_indices):
+    """The kept half of the noiselet as a signed gather, a real butterfly
+    and a signed gather of the kept rows (see the module docstring):
+    ``(gather, signs, rows, row_signs, shape)``."""
+    h = n // 2
+    bits = n.bit_length() - 1
+    j = np.arange(h)
+    gather, signs = _turn(j, np.arange(2, dtype=np.uint8)[:, None], np.bitwise_count(j) & 3, h)
+    # kept row s is component s & 1 of entry s >> 1, turned by the second D
+    # and the power of i in a^bits, i^popcount(j) (-i)^(bits // 2)
+    j, t = sample_indices >> 1, (sample_indices & 1).astype(np.uint8)
+    q = np.bitwise_count(j)
+    q += 3 * (bits >> 1)
+    q &= 3
+    rows, row_signs = _turn(j, t, q, h)
+    shape = (2, h)
+    if bits & 1:
+        # the top stage's (U, V) turned by 45 degrees is U - iV
+        row_signs[rows >= h] *= -1.0
+        shape = (n,)
+    return gather.ravel(), signs.ravel(), rows, row_signs, shape
+
+
 class MeasurementOperator:
     """Row-subsampled orthonormal fast transform, reproducible from a seed.
 
     Every pass first gathers its input through one index, ``_gather``: the
-    scrambling permutation in Hadamard mode, the pair order in noiselet
-    mode, composed with any input order set by :meth:`in_order`.  Every
+    scrambling permutation in Hadamard mode, the signed gather of D c in
+    noiselet mode, composed with any input order set by :meth:`in_order`.  Every
     adjoint pass ends with a gather through its inverse, ``_scatter``.  The
     passes run in the operator's workspace, so an operator must not be
     called from two threads at once.
@@ -172,16 +226,13 @@ class MeasurementOperator:
             # (x * signs)[perm] = x[perm] * signs[perm]: the sign flip rides
             # on the gather, in gathered order, held once for both passes
             perm = _stream(seed, _STREAM_PERM).permutation(self.n)
-            signs = np.where(_stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)[perm]
-            self._scale = 1.0 / np.sqrt(self.n)
-            self._dtype, self._kernels = np.float64, (fwht, fwht)
-            self._factors = (signs, self._scale, signs)
+            self._signs = np.where(
+                _stream(seed, _STREAM_SIGN).random(self.n) < 0.5, -1.0, 1.0)[perm]
+            self._rows, self._row_signs, self._shape = self.sample_indices, 1.0, (self.n,)
         else:
-            # x[j] and x[j + n/2] side by side: read as complex, x0 + i x1
-            perm = np.arange(self.n).reshape(2, -1).T.ravel()
-            self._scale = _SQRT2
-            self._dtype, self._kernels = np.complex128, (noiselet, noiselet_adjoint)
-            self._factors = (_A, _B, _SQRT2)
+            perm, self._signs, self._rows, self._row_signs, self._shape = (
+                _noiselet_tables(self.n, self.sample_indices))
+        self._scale = 1.0 / np.sqrt(self._shape[-1])
         self._set_gather(perm)
 
     def in_order(self, q):
@@ -222,43 +273,42 @@ class MeasurementOperator:
             raise ValueError(f"expected length-{length} vector, got {v.shape}")
         return v
 
-    def _transform(self, x):
-        """The full transform of x before its scale, as a view of the
-        workspace: the callers copy out the rows they keep."""
-        w = self._work.view(self._dtype)
-        # mode="clip" lets take write straight into its output; every index
-        # is in range, so nothing is clipped
-        np.take(x, self._gather, out=self._work[0], mode="clip")
-        w[0] *= self._factors[0]
-        return self._kernels[0](w[0], w[1]).view(np.float64)
-
-    def _inverse(self):
-        """Transpose of the full transform of the workspace's first row, in
-        input order: one gather through ``_scatter``, the inverse of the
-        forward gather, into a fresh vector.  A gather through the inverse
-        of a permutation moves the same values as the scatter
-        ``out[_gather] = v``, so the bytes are the same."""
-        w = self._work.view(self._dtype)
-        v = self._kernels[1](w[0], w[1])
-        v *= self._factors[1]
-        v = v.view(np.float64)
-        v *= self._factors[2]
-        return v[self._scatter]
+    def _butterfly(self):
+        """``fwht`` of the workspace's first row, as ``_shape`` rows, in the
+        workspace: the result is a flat view of one of its two rows."""
+        w = self._work
+        return fwht(w[0].reshape(self._shape), w[1].reshape(self._shape)).reshape(-1)
 
     def forward(self, x):
         """Subsampled measurements: transform then keep the masked rows."""
-        y = self._transform(self._check(x, self.n))[self.sample_indices]
+        x = self._check(x, self.n)
+        # mode="clip" lets take write straight into its output; every index
+        # is in range, so nothing is clipped
+        np.take(x, self._gather, out=self._work[0], mode="clip")
+        self._work[0] *= self._signs
+        y = self._butterfly()[self._rows]
+        y *= self._row_signs
         y *= self._scale
         return y
 
     def adjoint(self, y):
         """Transpose of :meth:`forward`; equals the Moore-Penrose pseudo-inverse
-        applied to y because the kept rows are orthonormal."""
+        applied to y because the kept rows are orthonormal.
+
+        The signed rows are formed in the workspace's second row, which the
+        butterfly then overwrites.  The output is one gather through
+        ``_scatter``, the inverse of the forward gather, into a fresh
+        vector: it moves the same values as the scatter ``out[_gather] = v``
+        at about half its cost."""
         y = self._check(y, self.m)
-        z = self._work[0]
+        z, signed = self._work[0], self._work[1, :self.m]
+        np.multiply(y, self._row_signs, out=signed)
         z.fill(0.0)
-        z[self.sample_indices] = y
-        return self._inverse()
+        z[self._rows] = signed
+        v = self._butterfly()
+        v *= self._scale
+        v *= self._signs
+        return v[self._scatter]
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ from operator import iadd
 
 import numpy as np
 
-from .imagegrid import _stack_positions, from_blocks, psnr, to_blocks
+from .imagegrid import _as_real, _stack_positions, from_blocks, psnr, to_blocks
 from .sensing import Observation  # noqa: F401  (type of ProblemSpec.observation)
 
 __all__ = [
@@ -282,7 +282,7 @@ class DiffOperator:
         self._weights = np.empty(self._into.size)
 
     def apply(self, u):
-        u = np.asarray(u, dtype=np.float64)
+        u = _as_real(u, "the block stack")
         if u.shape != self.stack_shape:
             raise ValueError(f"expected the {self.stack_shape} block stack, got {u.shape}")
         w = np.take(u.reshape(-1), self._into, out=self._weights, mode="clip")
@@ -292,7 +292,7 @@ class DiffOperator:
         return out
 
     def adjoint(self, z):
-        z = np.asarray(z, dtype=np.float64)
+        z = _as_real(z, "seam differences")
         if z.shape != (2, self.ring_size):
             raise ValueError(f"expected (2, {self.ring_size}), got {z.shape}")
         w = self._weights

@@ -182,6 +182,18 @@ def test_out_gives_the_bytes_of_the_call_without_it(family, M):
 
 
 @pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
+def test_frame_methods_reject_complex_input(family):
+    # a float64 cast would keep only the real part, with a ComplexWarning
+    op = fr.build_frame(family, 8)
+    x, z = _rand_blocks(8, 2, 7), np.ones((2, op.n_out))
+    for method, arg in ((op.analyze_blocks, x), (op.adjoint_blocks, z),
+                        (op.synthesize_blocks, z)):
+        for bad in (arg + 1j, (arg + 0j).tolist()):
+            with pytest.raises(ValueError, match="real"):
+                method(bad)
+
+
+@pytest.mark.parametrize("family", fr.FRAME_FAMILIES)
 def test_out_must_fit_and_stand_apart(family):
     op = fr.build_frame(family, 8)
     L, n_out = 3, op.n_out

@@ -120,6 +120,19 @@ def test_kernel_with_scratch_matches_call_without(name, dtype, n):
     assert held.tobytes() == fresh.tobytes()
 
 
+# the lengths of the stack rows that a noiselet-mode pass runs are n / 2
+@pytest.mark.parametrize("h", [2**k for k in range(1, 19)])
+def test_fwht_of_a_stack_transforms_each_row(h):
+    # each row of a (2, h) call, with or without a scratch, is bit-equal to
+    # the 1-D transform of that row
+    rng = np.random.Generator(np.random.Philox(key=[h, 0xAE5]))
+    x = rng.standard_normal((2, h))
+    want = [backend.fwht(row).tobytes() for row in x]
+    for got in (backend.fwht(x), backend.fwht(x.copy(), np.empty((2, h)))):
+        assert got.shape == (2, h)
+        assert [row.tobytes() for row in got] == want
+
+
 _POWERS = {"fwht": backend._HADAMARD, "noiselet": backend._NOISELET,
            "noiselet_adjoint": backend._NOISELET_ADJOINT}
 
@@ -287,12 +300,17 @@ def test_operator_in_order_rejects_non_permutation():
             op.in_order(q)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_operator_matches_seeded_definition(mode):
-    # forward, bit for bit, against the operator's definition from its
-    # Philox streams: sign flip, then permutation, then the scaled fwht, or
-    # the half-length noiselet; then the sampled rows
-    n = 1024
+# the noiselet mode runs the real butterfly, not the complex definition, so
+# it is checked to NOISELET_TOL (worst seen: 2.7e-15 at n = 2^16); 512 and
+# 2048 are odd powers of two, whose butterfly ends in the 45-degree turn
+NOISELET_TOL = 1e-14
+
+
+@pytest.mark.parametrize("mode, n", _mode_and_size((512, 1024, 2048), kept=1024))
+def test_operator_matches_seeded_definition(mode, n):
+    # forward against the operator's definition from its Philox streams:
+    # sign flip, then permutation, then the scaled fwht, bit for bit; or the
+    # half-length noiselet of a x0 + b x1; then the sampled rows
     op = sensing.MeasurementOperator(n, rate=0.3, seed=21, mode=mode)
     x = np.random.Generator(np.random.Philox(key=[n, 0xADD])).standard_normal(n)
     if mode == sensing.SCRAMBLED_HADAMARD:
@@ -300,17 +318,18 @@ def test_operator_matches_seeded_definition(mode):
         signs = np.where(np.random.Generator(np.random.Philox(key=[21, 2])).random(n) < 0.5,
                          -1.0, 1.0)
         full = backend.fwht((x * signs)[perm]) * (1.0 / np.sqrt(n))
+        assert op.forward(x).tobytes() == full[op.sample_indices].tobytes()
     else:
         a, b = 0.5 - 0.5j, 0.5 + 0.5j
         full = np.sqrt(2.0) * backend.noiselet(a * x[: n // 2] + b * x[n // 2:]).view(np.float64)
-    assert op.forward(x).tobytes() == full[op.sample_indices].tobytes()
+        np.testing.assert_allclose(op.forward(x), full[op.sample_indices],
+                                   rtol=0, atol=NOISELET_TOL)
 
 
-def test_noiselet_adjoint_matches_definition():
-    # the adjoint, bit for bit, against its definition: the measurements
-    # embedded at the sampled rows, read as pairs w = z[0::2] + i z[1::2],
-    # give sqrt(2) * [Re(b u); Re(a u)] with u = N_h^H w
-    n = 1024
+def _check_noiselet_adjoint(n):
+    # the adjoint against its definition: the measurements embedded at the
+    # sampled rows, read as pairs w = z[0::2] + i z[1::2], give
+    # sqrt(2) * [Re(b u); Re(a u)] with u = N_h^H w
     op = sensing.MeasurementOperator(n, rate=0.3, seed=21, mode=sensing.COMPLEX_NOISELET)
     y = np.random.Generator(np.random.Philox(key=[n, 0xADE])).standard_normal(op.m)
     z = np.zeros(n)
@@ -318,7 +337,30 @@ def test_noiselet_adjoint_matches_definition():
     u = backend.noiselet_adjoint(z[0::2] + 1j * z[1::2])
     a, b = 0.5 - 0.5j, 0.5 + 0.5j
     want = np.sqrt(2.0) * np.concatenate(((b * u).real, (a * u).real))
-    assert op.adjoint(y).tobytes() == want.tobytes()
+    np.testing.assert_allclose(op.adjoint(y), want, rtol=0, atol=NOISELET_TOL)
+
+
+def test_noiselet_adjoint_matches_definition():
+    _check_noiselet_adjoint(1024)
+
+
+@pytest.mark.parametrize("n", (512, 2048))
+def test_noiselet_adjoint_matches_definition_at_odd_log2(n):
+    _check_noiselet_adjoint(n)
+
+
+@pytest.mark.parametrize("h", [2**k for k in range(1, 16)])
+def test_noiselet_is_a_hadamard_between_diagonals(h):
+    # N_h = a^k D H_h D with D = diag(i^popcount(j)) and k = log2 h, since
+    # the stage [[a, b], [b, a]] is a diag(1, i) H_2 diag(1, i) (b = i a):
+    # the identity that lets the noiselet mode run the real butterfly
+    rng = np.random.Generator(np.random.Philox(key=[h, 0xAE4]))
+    c = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    d = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(h)) % 4]
+    dc = d * c
+    hdc = backend.fwht(dc.real) + 1j * backend.fwht(dc.imag)
+    want = (0.5 - 0.5j) ** (h.bit_length() - 1) * d * hdc
+    np.testing.assert_allclose(backend.noiselet(c), want, rtol=0, atol=NOISELET_TOL)
 
 
 def test_operator_measurement_count():

@@ -206,6 +206,15 @@ def test_diff_reads_only_the_block_stack():
     assert d.adjoint(np.zeros((2, d.ring_size))).shape == (8, 8, 8)
 
 
+def test_diff_rejects_complex_input():
+    # a float64 cast would keep only the real part, with a ComplexWarning
+    d = sv.DiffOperator((16, 32), 8)
+    with pytest.raises(ValueError, match="real"):
+        d.apply(np.zeros(d.stack_shape) + 1j)
+    with pytest.raises(ValueError, match="real"):
+        d.adjoint(np.zeros((2, d.ring_size), dtype=np.complex128))
+
+
 def test_diff_adjoint_identity():
     d = sv.DiffOperator((24, 16), 8)
     rng = _rng(5)
